@@ -57,7 +57,16 @@ def full_cycle(code: str, measure_name: str) -> float:
     return time.perf_counter() - start
 
 
+def warm_up():
+    """Run each measure once, untimed, so that one-time costs such as
+    the lazy ``scipy`` import of sampled individual risk are not billed
+    to the first dataset of the sweep."""
+    for measure_name in MEASURES:
+        full_cycle(SIZES[0], measure_name)
+
+
 def figure7e_rows():
+    warm_up()
     rows = []
     for code in SIZES:
         row = [code, len(dataset(code))]

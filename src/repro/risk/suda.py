@@ -9,12 +9,35 @@ values suffice to single the tuple out.
 Per Rule 8 of Algorithm 6, the off-the-shelf risk is thresholded:
 a tuple is dangerous (risk 1) when it has an MSU of size < k.
 
-The search enumerates attribute subsets in ascending size, counting
-projections over the whole dataset per subset (one dictionary pass), and
-prunes supersets of already-found MSUs — the same preemptive pruning
-the paper attributes to the Vadalog "greedy activation of Rule 7",
-which is why Fig. 7f shows no combinatorial blow-up.  A SUDA2-style
-DIS score is also exposed as an extension.
+The search enumerates attribute subsets in ascending size and prunes
+supersets of already-found MSUs — the same preemptive pruning the paper
+attributes to the Vadalog "greedy activation of Rule 7", which is why
+Fig. 7f shows no combinatorial blow-up.  Each subset S is decided in
+one hash pass over the rows:
+
+* the projections onto S of the rows with no null on S are counted
+  exactly;
+* for every null pattern P on S (the positions where a row holds a
+  labelled null), the projections onto S \\ P of the rows with that
+  pattern are collected in a set;
+* a row is unique on S when it has no null on S, its exact count is 1
+  and its projection onto S \\ P lies in none of the pattern sets — a
+  row with pattern P maybe-matches exactly the rows that agree with it
+  on S \\ P.  A row null on the whole of S lies in the set of the
+  empty projection and so matches every row.
+
+Rows that carry a null on S are never recorded on S.  Under maybe-match
+a null matches anything, so such a row matches on S exactly the rows it
+matches on S minus its null positions, a proper subset already
+searched: if the row is unique there, an MSU at or below that subset is
+already recorded and S is not minimal.  The one exception is a one-row
+table, where the row is unique on every subset, nulls included; its
+null flags are dropped so that it counts exactly and gets every
+singleton as an MSU.  Under standard semantics a null is a plain value
+equal only to itself, so every row goes through the exact counter and
+both semantics share the code path.
+
+A SUDA2-style DIS score is also exposed as an extension.
 """
 
 from __future__ import annotations
@@ -22,11 +45,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics, StandardSemantics
+from ..model.nulls import MAYBE_MATCH, MaybeMatchSemantics, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -44,68 +67,60 @@ def find_minimal_sample_uniques(
     attributes = list(attributes)
     if max_size is None:
         max_size = len(attributes)
-    msus: Dict[int, List[FrozenSet[str]]] = defaultdict(list)
-    null_rows = _rows_with_nulls(db, attributes)
+    n = len(db)
+    columns = [[row[a] for row in db.rows] for a in attributes]
+    # Bit p of a row's mask is set when the row is null on attribute p.
+    masks = [0] * n
+    if isinstance(semantics, MaybeMatchSemantics) and n > 1:
+        for position, column in enumerate(columns):
+            for index, value in enumerate(column):
+                if is_suppressed(value):
+                    masks[index] |= 1 << position
+    null_rows = [index for index in range(n) if masks[index]]
+    msus: Dict[int, List[FrozenSet[str]]] = {}
 
     for size in range(1, max_size + 1):
-        for subset in itertools.combinations(attributes, size):
-            subset_set = frozenset(subset)
-            counter: Counter = Counter()
-            keys: List[Optional[Tuple]] = []
-            for index in range(len(db)):
-                if index in null_rows:
-                    keys.append(None)  # handled by slow path below
-                    continue
-                key = tuple(db.rows[index][a] for a in subset)
-                keys.append(key)
-                counter[key] += 1
-            for index in range(len(db)):
-                key = keys[index]
-                if key is None:
-                    unique = _is_unique_slow(
-                        db, index, subset, semantics
-                    )
-                elif counter[key] != 1:
-                    continue
-                elif null_rows:
-                    # Exact-unique, but a null row may still maybe-match.
-                    unique = _is_unique_slow(db, index, subset, semantics)
-                else:
-                    unique = True
-                if not unique:
+        for positions in itertools.combinations(range(len(attributes)), size):
+            subset_set = frozenset(attributes[p] for p in positions)
+            projections = list(zip(*(columns[p] for p in positions)))
+            subset_mask = sum(1 << p for p in positions)
+            nulled = {i for i in null_rows if masks[i] & subset_mask}
+            # Projections of the null rows onto their non-null positions,
+            # one set per null pattern.
+            pattern_sets: Dict[int, set] = defaultdict(set)
+            for index in nulled:
+                pattern = masks[index] & subset_mask
+                pattern_sets[pattern].add(
+                    _project(projections[index], positions, pattern)
+                )
+            counts = Counter(
+                key
+                for index, key in enumerate(projections)
+                if index not in nulled
+            )
+            for index, key in enumerate(projections):
+                if counts[key] != 1 or index in nulled:
                     continue
                 if any(
-                    existing < subset_set or existing == subset_set
-                    for existing in msus[index]
+                    _project(key, positions, pattern) in keys
+                    for pattern, keys in pattern_sets.items()
                 ):
+                    continue  # a null row maybe-matches it
+                found = msus.setdefault(index, [])
+                if any(existing <= subset_set for existing in found):
                     continue  # superset of a known MSU: not minimal
-                msus[index].append(subset_set)
-    return dict(msus)
+                found.append(subset_set)
+    return msus
 
 
-def _rows_with_nulls(db: MicrodataDB, attributes: Sequence[str]):
-    return {
-        index
-        for index in range(len(db))
-        if any(is_suppressed(db.rows[index][a]) for a in attributes)
-    }
-
-
-def _is_unique_slow(
-    db: MicrodataDB,
-    index: int,
-    subset: Sequence[str],
-    semantics: NullSemantics,
-) -> bool:
-    row = db.rows[index]
-    combination = [(a, row[a]) for a in subset]
-    matches = 0
-    for other_index in range(len(db)):
-        if semantics.matches_combination(db.rows[other_index], combination):
-            matches += 1
-            if matches > 1:
-                return False
-    return matches == 1
+def _project(key: tuple, positions: Sequence[int], pattern: int) -> tuple:
+    """``key`` (a projection onto ``positions``) restricted to the
+    positions that are not set in the null ``pattern``."""
+    return tuple(
+        value
+        for value, position in zip(key, positions)
+        if not pattern >> position & 1
+    )
 
 
 def suda_dis_scores(
@@ -194,8 +209,5 @@ class SudaRisk(RiskMeasure):
         """Expose the raw MSUs (used by tests and the DIS extension)."""
         attributes = self._resolve_attributes(db, attributes)
         return find_minimal_sample_uniques(
-            db,
-            attributes,
-            max_size=max_size or len(attributes),
-            semantics=semantics,
+            db, attributes, max_size=max_size, semantics=semantics
         )

@@ -1,12 +1,16 @@
 """Risk-measure tests against the paper's worked numbers, the
 registry, and cross-checks between measures."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.data import generate_dataset
 from repro.errors import ReproError
-from repro.model import MAYBE_MATCH, STANDARD
+from repro.model import MAYBE_MATCH, STANDARD, MicrodataDB, survey_schema
 from repro.risk import (
     RISK_REGISTRY,
     IndividualRisk,
@@ -20,7 +24,7 @@ from repro.risk import (
     propagate_over_clusters,
     suda_dis_scores,
 )
-from repro.vadalog.terms import LabelledNull
+from repro.vadalog.terms import LabelledNull, NullFactory
 
 
 class TestRegistry:
@@ -211,13 +215,117 @@ class TestSuda:
         # >= 2 only: tuple 20 must score higher.
         assert scores[19] > scores[3] > 0
 
-    def test_suppressed_cells_fall_back_to_slow_path(self, cities_db):
+    def test_wildcarded_sector_removes_msus(self, cities_db):
         db = cities_db.copy()
         db.with_value(0, "Sector", LabelledNull(1))
         report = SudaRisk(k=3).assess(db, semantics=MAYBE_MATCH)
         # With its sector wildcarded, tuple 1 matches tuples 2-5 on
         # every combination: no MSU, not dangerous.
         assert report.scores[0] == 0.0
+
+    def test_max_size_zero_searches_nothing(self):
+        db = generate_dataset("R6A4U", seed=1, scale=200)
+        measure = SudaRisk(k=3)
+        assert measure.minimal_sample_uniques(db)
+        assert measure.minimal_sample_uniques(db, max_size=0) == {}
+        assert find_minimal_sample_uniques(
+            db, db.quasi_identifiers, max_size=0
+        ) == {}
+
+
+# -- MSU search against a brute-force oracle ---------------------------------
+
+def make_db(rows, attrs):
+    return MicrodataDB("t", survey_schema(quasi_identifiers=list(attrs)), rows)
+
+
+@st.composite
+def qi_dataset_with_nulls(draw):
+    """1-12 rows over 2-4 QIs, with a few cells replaced by fresh
+    labelled nulls."""
+    attrs = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
+    n_rows = draw(st.integers(1, 12))
+    rows = [
+        {a: draw(st.integers(0, 2)) for a in attrs} for _ in range(n_rows)
+    ]
+    db = make_db(rows, attrs)
+    factory = NullFactory()
+    for _ in range(draw(st.integers(0, 2 * n_rows))):
+        row = draw(st.integers(0, n_rows - 1))
+        db.with_value(row, draw(st.sampled_from(attrs)), factory.fresh())
+    return db
+
+
+def brute_force_msus(db, attributes, max_size, semantics):
+    """MSUs by definition: in ascending subset size, a row is unique on
+    a subset when exactly one row matches its values there, and the
+    subset is minimal when no MSU recorded for the row lies inside it."""
+    limit = len(attributes) if max_size is None else max_size
+    msus = {}
+    for size in range(1, limit + 1):
+        for subset in itertools.combinations(attributes, size):
+            subset_set = frozenset(subset)
+            for index, row in enumerate(db.rows):
+                combination = [(a, row[a]) for a in subset]
+                matches = sum(
+                    1
+                    for other in db.rows
+                    if semantics.matches_combination(other, combination)
+                )
+                if matches != 1:
+                    continue
+                found = msus.setdefault(index, [])
+                if not any(existing <= subset_set for existing in found):
+                    found.append(subset_set)
+    return msus
+
+
+class TestMsuSearchOracle:
+    @given(
+        qi_dataset_with_nulls(),
+        st.sampled_from([MAYBE_MATCH, STANDARD]),
+        st.sampled_from([None, 1, 2]),
+    )
+    def test_matches_brute_force(self, db, semantics, max_size):
+        attrs = db.quasi_identifiers
+        assert find_minimal_sample_uniques(
+            db, attrs, max_size=max_size, semantics=semantics
+        ) == brute_force_msus(db, attrs, max_size, semantics)
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    def test_one_row_table_has_every_singleton(self, semantics):
+        factory = NullFactory()
+        db = make_db(
+            [{"A": factory.fresh(), "B": 1, "C": factory.fresh()}],
+            ["A", "B", "C"],
+        )
+        msus = find_minimal_sample_uniques(
+            db, ["A", "B", "C"], semantics=semantics
+        )
+        singletons = [frozenset({"A"}), frozenset({"B"}), frozenset({"C"})]
+        assert msus == {0: singletons}
+        assert msus == brute_force_msus(db, ["A", "B", "C"], None, semantics)
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    def test_row_null_on_every_qi(self, semantics):
+        factory = NullFactory()
+        db = make_db(
+            [
+                {"A": factory.fresh(), "B": factory.fresh()},
+                {"A": 1, "B": 2},
+                {"A": 1, "B": 3},
+                {"A": 4, "B": 2},
+            ],
+            ["A", "B"],
+        )
+        msus = find_minimal_sample_uniques(db, ["A", "B"], semantics=semantics)
+        assert msus == brute_force_msus(db, ["A", "B"], None, semantics)
+        if semantics is MAYBE_MATCH:
+            # The all-null row maybe-matches every row on every subset.
+            assert msus == {}
+        else:
+            # Its fresh nulls are values no other row holds.
+            assert msus[0] == [frozenset({"A"}), frozenset({"B"})]
 
 
 class TestClusterRisk:

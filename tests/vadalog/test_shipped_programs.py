@@ -2,10 +2,16 @@
 the declarative fidelity path, cross-checked against the native
 executors."""
 
+import random
+
 import pytest
 
 from repro.business import OwnershipGraph
-from repro.data import city_fragment, inflation_growth_fragment
+from repro.data import (
+    city_fragment,
+    generate_dataset,
+    inflation_growth_fragment,
+)
 from repro.model import AttributeCategory, MAYBE_MATCH, STANDARD
 from repro.risk import (
     IndividualRisk,
@@ -15,6 +21,7 @@ from repro.risk import (
 )
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
+from repro.vadalog.terms import NullFactory
 from repro.vadalog_programs import (
     ANONYMIZATION_CYCLE,
     CATEGORIZATION,
@@ -198,6 +205,26 @@ class TestRiskProgramEquivalence:
 
     def test_suda_matches_native(self):
         db = city_fragment()
+        registry, _ = cycle_registry()
+        program = Program.parse(TUPLE_BUILD + SUDA)
+        result = program.run(
+            base_facts(db, suda_k=3), externals=registry
+        )
+        engine_scores = risk_by_row(result, len(db))
+        native = SudaRisk(k=3).assess(db, semantics=STANDARD)
+        assert engine_scores == native.scores
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_suda_matches_native_on_suppressed_input(self, seed):
+        # About 15% of the QI cells already hold fresh labelled nulls,
+        # as after a round of local suppression.
+        db = generate_dataset("R6A4U", seed=seed, scale=400)
+        rng = random.Random(seed)
+        factory = NullFactory(start=1000)
+        for index in range(len(db)):
+            for attribute in db.quasi_identifiers:
+                if rng.random() < 0.15:
+                    db.with_value(index, attribute, factory.fresh())
         registry, _ = cycle_registry()
         program = Program.parse(TUPLE_BUILD + SUDA)
         result = program.run(
