@@ -161,11 +161,13 @@ def test_fig7e_report(benchmark):
     # smallest and largest datasets).
     for column in range(2, len(columns)):
         assert rows[-1][column] >= rows[0][column] * 0.5
-    # SUDA total >= k-anonymity total on the largest dataset.
+    # k-anonymity's risk estimation is cheaper than SUDA's on the
+    # largest dataset.  Cycle totals are not compared: at 4 QIs they
+    # are of the same order and their ranking is not stable.
     last = rows[-1]
-    k_total = last[2 + 2 * MEASURES.index("k-anonymity")]
-    suda_total = last[2 + 2 * MEASURES.index("suda")]
-    assert suda_total >= k_total
+    k_risk = last[3 + 2 * MEASURES.index("k-anonymity")]
+    suda_risk = last[3 + 2 * MEASURES.index("suda")]
+    assert k_risk < suda_risk
 
 
 if __name__ == "__main__":

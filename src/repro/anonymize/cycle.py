@@ -39,6 +39,10 @@ from ..model.nulls import (
     MaybeMatchSemantics,
     NullSemantics,
     StandardSemantics,
+    _common_getter,
+    _mask_bits,
+    _null_mask,
+    _row_projector,
 )
 from ..risk.base import RiskMeasure, RiskReport
 from ..risk.cluster import propagate_over_clusters
@@ -59,7 +63,10 @@ class GroupTracker:
     Maintains, per quasi-identifier combination, the exact count and
     weight sum of null-free rows, plus the set of null-carrying rows,
     so a single row's current group frequency can be rechecked in
-    O(|null rows|) instead of a full pass.
+    O(|null rows|) instead of a full pass.  Each row's QI tuple and
+    null bitmask are kept too (refreshed when the row changes), so a
+    recheck compares two rows on their common non-null positions with
+    one cached getter per mask instead of testing cells one by one.
     """
 
     def __init__(
@@ -75,7 +82,15 @@ class GroupTracker:
         self.counts: Counter = Counter()
         self.weight_sums: Dict[Tuple, float] = defaultdict(float)
         self.null_rows: Set[int] = set()
+        self._standard = isinstance(semantics, StandardSemantics)
+        self._project = _row_projector(self.attributes)
+        self._bits = _mask_bits(len(self.attributes))
+        self._full = (1 << len(self.attributes)) - 1
+        self._getters: Dict[int, Any] = {}
+        self._projections: List[Tuple] = [()] * len(db)
+        self._masks: List[int] = [0] * len(db)
         for index in range(len(db)):
+            self._refresh(index)
             key = self._key(index)
             if key is None:
                 self.null_rows.add(index)
@@ -83,50 +98,52 @@ class GroupTracker:
                 self.counts[key] += 1
                 self.weight_sums[key] += self.weights[index]
 
+    def _refresh(self, index: int) -> None:
+        projection = self._project(self.db.rows[index])
+        self._projections[index] = projection
+        self._masks[index] = _null_mask(projection, self._bits)
+
     def _key(self, index: int) -> Optional[Tuple]:
-        row = self.db.rows[index]
-        values = []
-        for attribute in self.attributes:
-            value = row[attribute]
-            if is_suppressed(value):
-                if isinstance(self.semantics, StandardSemantics):
-                    values.append(value)  # a null is just another value
-                else:
-                    return None
-            else:
-                values.append(value)
-        return tuple(values)
+        # Under standard semantics a null is just another value.
+        if self._masks[index] and not self._standard:
+            return None
+        return self._projections[index]
 
     def stats(self, index: int) -> Tuple[int, float]:
         """Current (=⊥-match count, matched weight sum) for a row."""
         key = self._key(index)
         if key is not None:
-            count = self.counts[key]
-            weight_sum = self.weight_sums[key]
-            for other in self.null_rows:
-                if self._row_matches(other, index):
-                    count += 1
-                    weight_sum += self.weights[other]
-            return count, weight_sum
+            return self._scan(
+                index, self.null_rows, self.counts[key], self.weight_sums[key]
+            )
         # Null-carrying row under maybe-match: full scan.
-        row = self.db.rows[index]
-        combination = [(a, row[a]) for a in self.attributes]
-        count = 0
-        weight_sum = 0.0
-        for other in range(len(self.db)):
-            if self.semantics.matches_combination(
-                self.db.rows[other], combination
-            ):
-                count += 1
-                weight_sum += self.weights[other]
-        return count, weight_sum
+        return self._scan(index, range(len(self.db)), 0, 0.0)
 
-    def _row_matches(self, data_index: int, query_index: int) -> bool:
-        query = self.db.rows[query_index]
-        combination = [(a, query[a]) for a in self.attributes]
-        return self.semantics.matches_combination(
-            self.db.rows[data_index], combination
-        )
+    def _scan(
+        self, index: int, others, count: int, weight_sum: float
+    ) -> Tuple[int, float]:
+        """Add each of ``others`` that agrees with the row on their
+        common non-null positions to ``(count, weight_sum)``."""
+        projections = self._projections
+        masks = self._masks
+        weights = self.weights
+        exclude = ~masks[index] & self._full
+        query = projections[index]
+        probes: Dict[int, Tuple[Any, Any]] = {}
+        for other in others:
+            common = exclude & ~masks[other]
+            probe = probes.get(common)
+            if probe is None:
+                getter = self._getters.get(common)
+                if getter is None:
+                    getter = self._getters[common] = _common_getter(
+                        common, len(self.attributes)
+                    )
+                probe = probes[common] = (getter, getter(query))
+            if probe[0](projections[other]) == probe[1]:
+                count += 1
+                weight_sum += weights[other]
+        return count, weight_sum
 
     def before_change(self, index: int) -> Optional[Tuple]:
         """Capture the row's key before the method mutates it."""
@@ -142,6 +159,7 @@ class GroupTracker:
                 self.weight_sums.pop(old_key, None)
         else:
             self.null_rows.discard(index)
+        self._refresh(index)
         new_key = self._key(index)
         if new_key is None:
             self.null_rows.add(index)

@@ -17,19 +17,57 @@ into the same aggregation group.
 Both semantics expose the same interface: per-row *match frequency*
 (how many rows =⊥-match this row on the chosen QIs, including itself)
 and *matched weight sums* (the Σ W over matching rows used by
-re-identification risk).  The maybe-match computation groups rows by
-null pattern and joins pattern pairs on their common non-null
-positions, so it stays near-linear while patterns are few — which holds
+re-identification risk).  The maybe-match computation projects each row
+once onto the chosen QIs and gives it an integer null bitmask (bit j
+set when position j holds a labelled null), partitioning the rows by
+mask.  Two rows =⊥-match exactly when they agree on ``common = full &
+~(q | d)``, the positions non-null in both masks, so every (query mask,
+data mask) pair is one hash join on ``common``.  The data-side index is
+keyed by ``(data mask, common)`` and, like the getter for each
+``common``, is built once per call and reused by every query mask that
+meets it.  The work stays near-linear while masks are few — which holds
 during anonymization, where suppression introduces nulls sparsely.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import Counter, defaultdict
+from itertools import compress, repeat
+from operator import add, itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..vadalog.terms import LabelledNull
 from .microdata import MicrodataDB, is_suppressed
+
+
+def _row_projector(attributes: Sequence[str]) -> Callable[[Dict], Tuple]:
+    """A getter projecting a row onto ``attributes`` as a tuple (a
+    single-attribute ``itemgetter`` would return a bare value)."""
+    if len(attributes) == 1:
+        (attribute,) = attributes
+        return lambda row: (row[attribute],)
+    return itemgetter(*attributes)
+
+
+def _mask_bits(width: int) -> Tuple[int, ...]:
+    """The bit of each of ``width`` projected positions."""
+    return tuple(1 << position for position in range(width))
+
+
+def _null_mask(projection: Tuple, bits: Tuple[int, ...]) -> int:
+    """The projection's null bitmask: bit j set when position j holds a
+    labelled null (one ``isinstance`` test per cell)."""
+    nulls = map(isinstance, projection, repeat(LabelledNull))
+    return sum(compress(bits, nulls))
+
+
+def _common_getter(common: int, width: int) -> Callable[[Tuple], Any]:
+    """A getter for the positions set in ``common`` of a projection.
+    Two rows =⊥-match exactly when it returns equal keys for both, with
+    ``common`` their positions non-null on both sides."""
+    if not common:
+        return lambda projection: ()
+    return itemgetter(*(p for p in range(width) if common >> p & 1))
 
 
 class NullSemantics:
@@ -121,59 +159,74 @@ class MaybeMatchSemantics(NullSemantics):
             total_value = sum(values) if values is not None else 0.0
             return [n] * n, [total_value] * n
 
-        # Partition rows by null pattern over the chosen attributes.
-        patterns: Dict[FrozenSet[str], List[int]] = defaultdict(list)
-        for index in range(n):
-            row = db.rows[index]
-            pattern = frozenset(
-                a for a in attributes if is_suppressed(row[a])
-            )
-            patterns[pattern].append(index)
+        width = len(attributes)
+        projections = list(map(_row_projector(attributes), db.rows))
+        bits = _mask_bits(width)
+        patterns: Dict[int, List[int]] = defaultdict(list)
+        for index, projection in enumerate(projections):
+            patterns[_null_mask(projection, bits)].append(index)
+        members = {
+            mask: [projections[i] for i in rows]
+            for mask, rows in patterns.items()
+        }
 
-        pattern_list = list(patterns.items())
-        # For every ordered pattern pair (P_query, P_data), count for
-        # each query row how many data rows agree on the positions that
-        # are non-null on *both* sides; all other positions maybe-match.
-        for query_pattern, query_rows in pattern_list:
-            for data_pattern, data_rows in pattern_list:
-                common = [
-                    a
-                    for a in attributes
-                    if a not in query_pattern and a not in data_pattern
-                ]
-                index_map: Dict[Tuple, Tuple[int, float]] = {}
-                if common:
-                    grouped: Dict[Tuple, List[int]] = defaultdict(list)
-                    for data_index in data_rows:
-                        key = tuple(
-                            db.rows[data_index][a] for a in common
+        full = (1 << width) - 1
+        getters: Dict[int, Callable] = {}
+        # (mask, common) -> the mask's rows projected onto common: the
+        # join keys of both the query and the data side
+        keys: Dict[Tuple[int, int], List] = {}
+        # (data mask, common) -> (count by key, value sum by key)
+        indexes: Dict[Tuple[int, int], Tuple[Dict, Optional[Dict]]] = {}
+
+        def keys_of(mask: int, common: int) -> List:
+            found = keys.get((mask, common))
+            if found is None:
+                getter = getters.get(common)
+                if getter is None:
+                    getter = getters[common] = _common_getter(common, width)
+                found = keys[(mask, common)] = list(
+                    map(getter, members[mask])
+                )
+            return found
+
+        # For every ordered pattern pair (query mask, data mask), count
+        # for each query row how many data rows agree on the positions
+        # that are non-null on *both* sides; all others maybe-match.
+        for query_mask, query_rows in patterns.items():
+            row_counts = [0] * len(query_rows)
+            row_sums = [0.0] * len(query_rows)
+            for data_mask, data_rows in patterns.items():
+                common = full & ~(query_mask | data_mask)
+                index = indexes.get((data_mask, common))
+                if index is None:
+                    data_keys = keys_of(data_mask, common)
+                    if values is None:
+                        index = (Counter(data_keys), None)
+                    else:
+                        grouped: Dict[Any, List[float]] = defaultdict(list)
+                        for key, data_index in zip(data_keys, data_rows):
+                            grouped[key].append(values[data_index])
+                        index = (
+                            {k: len(v) for k, v in grouped.items()},
+                            {k: sum(v) for k, v in grouped.items()},
                         )
-                        grouped[key].append(data_index)
-                    for key, members in grouped.items():
-                        value_sum = (
-                            sum(values[i] for i in members)
-                            if values is not None
-                            else 0.0
-                        )
-                        index_map[key] = (len(members), value_sum)
-                    for query_index in query_rows:
-                        key = tuple(
-                            db.rows[query_index][a] for a in common
-                        )
-                        entry = index_map.get(key)
-                        if entry is not None:
-                            counts[query_index] += entry[0]
-                            sums[query_index] += entry[1]
-                else:
-                    total = len(data_rows)
-                    value_sum = (
-                        sum(values[i] for i in data_rows)
-                        if values is not None
-                        else 0.0
-                    )
-                    for query_index in query_rows:
-                        counts[query_index] += total
-                        sums[query_index] += value_sum
+                    indexes[(data_mask, common)] = index
+                query_keys = keys_of(query_mask, common)
+                count_index, sum_index = index
+                row_counts = list(map(
+                    add, row_counts,
+                    map(count_index.get, query_keys, repeat(0)),
+                ))
+                if sum_index is not None:
+                    row_sums = list(map(
+                        add, row_sums,
+                        map(sum_index.get, query_keys, repeat(0.0)),
+                    ))
+            for query_index, count, value_sum in zip(
+                query_rows, row_counts, row_sums
+            ):
+                counts[query_index] = count
+                sums[query_index] = value_sum
         return counts, sums
 
     def matches_combination(self, row, combination):

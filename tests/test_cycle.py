@@ -18,6 +18,7 @@ from repro.model import (
     STANDARD,
     DomainHierarchy,
     MicrodataDB,
+    is_suppressed,
     survey_schema,
 )
 from repro.risk import KAnonymityRisk, ReidentificationRisk, SudaRisk
@@ -197,32 +198,47 @@ class TestGroupTracker:
             assert count == expected[index]
 
     @given(
+        st.sampled_from([MAYBE_MATCH, STANDARD]),
         st.lists(
-            st.tuples(st.integers(0, 6), st.sampled_from(
-                ["Area", "Sector", "Employees", "Residential Revenue"]
-            )),
-            max_size=6,
-        )
+            st.tuples(
+                st.integers(0, 6),
+                st.sampled_from(
+                    ["Area", "Sector", "Employees", "Residential Revenue"]
+                ),
+                st.one_of(st.just(None), st.integers(0, 6)),
+            ),
+            max_size=8,
+        ),
     )
     def test_tracker_consistency_under_random_edits(
-        self, edits
+        self, semantics, edits
     ):
-        """Property: after any sequence of suppressions the tracker's
-        per-row stats equal a fresh full computation."""
+        """Property: after any sequence of suppressions and recodings
+        the tracker's per-row stats equal a fresh full computation.
+        An edit ``(row, attribute, None)`` suppresses the cell; ``(row,
+        attribute, j)`` recodes a constant cell to row j's constant in
+        that column, so a null-free row must be re-projected."""
         from repro.data import city_fragment
 
         db = city_fragment()
-        tracker = GroupTracker(db, db.quasi_identifiers, MAYBE_MATCH)
+        tracker = GroupTracker(db, db.quasi_identifiers, semantics)
         factory = NullFactory()
         method = LocalSuppression()
-        for row, attribute in edits:
+        for row, attribute, source in edits:
             if attribute not in method.applicable_attributes(db, row):
                 continue
+            value = None if source is None else db.rows[source][attribute]
+            if is_suppressed(value):
+                continue  # recoding writes constants only
             old_key = tracker.before_change(row)
-            method.apply(db, row, attribute, factory)
+            if source is None:
+                method.apply(db, row, attribute, factory)
+            else:
+                db.with_value(row, attribute, value)
             tracker.after_change(row, old_key)
-        expected_counts = MAYBE_MATCH.match_counts(db)
-        expected_sums = MAYBE_MATCH.match_weight_sums(db)
+        expected_counts, expected_sums = semantics.match_aggregate(
+            db, db.quasi_identifiers, db.weights()
+        )
         for index in range(len(db)):
             count, weight_sum = tracker.stats(index)
             assert count == expected_counts[index]

@@ -149,6 +149,29 @@ def dataset_with_nulls(draw, max_rows=10):
     return db
 
 
+@st.composite
+def wide_dataset_with_nulls(draw, max_rows=12):
+    """1-5 QIs and a float weight; each QI cell is a labelled null with
+    probability ``density`` (up to 1, so all-null rows occur).  Null
+    ids repeat, so standard semantics sees equal nulls too."""
+    qis = ["A", "B", "C", "D", "E"][: draw(st.integers(1, 5))]
+    density = draw(st.sampled_from([0, 2, 5, 8, 10]))  # tenths
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_rows))):
+        row = {
+            a: (
+                LabelledNull(draw(st.integers(1, 4)))
+                if draw(st.integers(0, 9)) < density
+                else draw(value_strategy)
+            )
+            for a in qis
+        }
+        row["W"] = draw(st.floats(min_value=0.5, max_value=50.0))
+        rows.append(row)
+    schema = survey_schema(quasi_identifiers=qis, weight="W")
+    return MicrodataDB("t", schema, rows)
+
+
 class TestSemanticsProperties:
     @given(dataset_with_nulls())
     def test_maybe_match_dominates_standard(self, db):
@@ -159,22 +182,39 @@ class TestSemanticsProperties:
         for m, s in zip(maybe, standard):
             assert m >= s
 
-    @given(dataset_with_nulls())
-    def test_counts_match_naive_quadratic(self, db):
-        """The pattern-join computation equals the O(n^2) definition."""
-        expected = []
-        for i in range(len(db)):
-            combination = [(a, db.rows[i][a]) for a in ["A", "B"]]
-            expected.append(
-                sum(
-                    1
-                    for j in range(len(db))
-                    if MAYBE_MATCH.matches_combination(
-                        db.rows[j], combination
-                    )
-                )
+    @given(
+        wide_dataset_with_nulls(),
+        st.sampled_from([MAYBE_MATCH, STANDARD]),
+        st.data(),
+    )
+    def test_counts_match_naive_quadratic(self, db, semantics, data):
+        """The mask-partitioned join equals the O(n^2) definition, for
+        counts and weight sums, on every QI choice: all of them, a
+        subset (width 1 included) or none."""
+        qis = db.quasi_identifiers
+        attributes = data.draw(
+            st.one_of(
+                st.none(),
+                st.just([]),
+                st.lists(st.sampled_from(qis), min_size=1, unique=True),
             )
-        assert MAYBE_MATCH.match_counts(db) == expected
+        )
+        names = qis if attributes is None else attributes
+        weights = db.weights()
+        expected_counts, expected_sums = [], []
+        for i in range(len(db)):
+            combination = [(a, db.rows[i][a]) for a in names]
+            matching = [
+                j
+                for j in range(len(db))
+                if semantics.matches_combination(db.rows[j], combination)
+            ]
+            expected_counts.append(len(matching))
+            expected_sums.append(sum(weights[j] for j in matching))
+        assert semantics.match_counts(db, attributes) == expected_counts
+        assert semantics.match_weight_sums(db, attributes) == pytest.approx(
+            expected_sums
+        )
 
     @given(small_dataset())
     def test_semantics_agree_without_nulls(self, db):
