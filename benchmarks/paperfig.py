@@ -32,22 +32,16 @@ def dataset(code: str, seed: int = SEED):
 
 
 def engine_kanon_seconds(
-    code: str,
-    use_plans: bool = True,
-    columnar: bool = False,
-    parallelism: int = 0,
+    code: str, use_plans: bool = True, columnar: bool = False
 ) -> float:
     """Seconds to score a dataset's k-anonymity risk *through the
     chase engine* (TUPLE_BUILD + K_ANONYMITY, k = 2) — the reasoning
     path the native risk measures shortcut.  ``use_plans`` selects
-    compiled join plans or the legacy recursive enumerator,
+    compiled join plans or the legacy recursive enumerator and
     ``columnar`` opts the run into the columnar batch backend
     (pinned off by default so the planned/legacy lanes keep their
-    historical tuple-at-a-time meaning), and ``parallelism`` selects
-    the sharded parallel chase's worker count (0 pins the run serial
-    even under a ``CHASE_PARALLELISM`` environment variable, so the
-    serial lanes stay serial), letting the benches record the
-    planned-vs-legacy-vs-columnar-vs-parallel trajectory side by side.
+    historical tuple-at-a-time meaning), so the benches record the
+    planned-vs-legacy-vs-columnar trajectory side by side.
     """
     import time
 
@@ -66,7 +60,6 @@ def engine_kanon_seconds(
     result = program.run(
         facts, provenance=False, preflight=False, use_plans=use_plans,
         use_columnar=columnar,
-        parallelism=parallelism if parallelism else 1,
     )
     seconds = time.perf_counter() - start
     assert result.tuples("riskOutput"), "engine scored no tuples"

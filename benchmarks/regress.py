@@ -126,8 +126,6 @@ def _workload_engine_fig7e():
             largest, use_plans=False, columnar=False),
         "columnar_seconds": _best_of(lambda: engine_kanon_seconds(
             largest, use_plans=True, columnar=True)),
-        "parallel_seconds": _best_of(lambda: engine_kanon_seconds(
-            largest, use_plans=True, columnar=False, parallelism=4)),
     }
 
 
@@ -143,8 +141,6 @@ def _workload_engine_fig7f():
             widest, use_plans=False, columnar=False),
         "columnar_seconds": _best_of(lambda: engine_kanon_seconds(
             widest, use_plans=True, columnar=True)),
-        "parallel_seconds": _best_of(lambda: engine_kanon_seconds(
-            widest, use_plans=True, columnar=False, parallelism=4)),
     }
 
 

@@ -7,14 +7,11 @@ naive reference oracle (``engine_variant="both"``), asserting zero
 three-way disagreements up to null isomorphism.  The third argument
 selects the fact-store backend(s): ``both`` (the default) first gates
 columnar/dict agreement on every pair, ``dict`` keeps the run on the
-tuple-at-a-time backend only.  The fourth argument selects the chase
-execution mode(s): ``both`` (the default) additionally gates
-bit-identical parallel/serial agreement — facts, EGD violations,
-round counts and provenance order — on every pair before the
-engine/oracle diff, ``serial`` skips the parallel lane:
+tuple-at-a-time backend only.  More than three arguments is a usage
+error (exit status 2):
 
     PYTHONPATH=src python benchmarks/smoke_conformance.py \
-        [examples] [variant] [backend] [parallelism]
+        [examples] [variant] [backend]
 
 Exits non-zero if any pair disagrees; the failing seeds are minimized
 and written as replayable artifacts under ``conformance-artifacts/``.
@@ -38,19 +35,25 @@ from repro.testing.conformance import ConformanceOutcome  # noqa: E402
 
 BASE_SEED = 20260805
 
+USAGE = (
+    "usage: PYTHONPATH=src python benchmarks/smoke_conformance.py "
+    "[examples] [variant] [backend]"
+)
+
 
 def main() -> int:
+    if len(sys.argv) > 4:
+        print(USAGE, file=sys.stderr)
+        return 2
     examples = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     variant = sys.argv[2] if len(sys.argv) > 2 else "both"
     backend = sys.argv[3] if len(sys.argv) > 3 else "both"
-    parallelism = sys.argv[4] if len(sys.argv) > 4 else "both"
     report = run_conformance(
         base_seed=BASE_SEED,
         examples=examples,
         artifact_dir="conformance-artifacts",
         engine_variant=variant,
         backend=backend,
-        parallelism=parallelism,
     )
     print("conformance smoke:", report.summary())
     disagreements = report.disagreements

@@ -140,11 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "and evaluate tuple-at-a-time instead of the "
                         "columnar batch executor (same as "
                         "CHASE_COLUMNAR=0)")
-    engine.add_argument("--parallelism", type=int, default=None,
-                        metavar="N",
-                        help="worker count for the parallel chase "
-                        "(same as CHASE_PARALLELISM; 0/1 = serial; "
-                        "output is bit-identical at any count)")
     engine.add_argument("--check-warded", action="store_true",
                         help="fail if the program is not warded")
     engine.add_argument("--no-preflight", action="store_true",
@@ -327,7 +322,6 @@ def _command_engine(args) -> int:
         preflight=not args.no_preflight,
         use_plans=False if args.legacy_enumeration else None,
         use_columnar=False if args.no_columnar else None,
-        parallelism=args.parallelism,
     )
     if args.rule_profile:
         print("\n--- compiled join plans ---", file=sys.stderr)

@@ -47,9 +47,11 @@ def metric_key(name: str, labels: Mapping[str, Any]) -> str:
 class Counter:
     """A monotonically increasing count.
 
-    ``+=`` on a Python int is read-modify-write, so concurrent
-    emitters (the parallel chase's worker threads) would lose
-    increments without the lock.
+    Registries are shared across threads: the ``/metrics`` scrape
+    thread (:class:`~repro.telemetry.exporters.MetricsHTTPServer`)
+    snapshots one while the run that owns it keeps counting.  ``+=``
+    on a Python int is read-modify-write, so the lock keeps ``inc``
+    exact when more than one thread emits.
     """
 
     __slots__ = ("value", "_lock")

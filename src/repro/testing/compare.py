@@ -120,6 +120,44 @@ def isomorphic(a: Iterable[Fact], b: Iterable[Fact]) -> bool:
     return search(0, {})
 
 
+def canonical_null_form(facts: Iterable[Fact]) -> FrozenSet[Fact]:
+    """Renumber labelled nulls canonically: nulls are relabelled
+    1, 2, ... by first occurrence over the facts in sorted (string)
+    order, so isomorphic fact sets from runs that used different null
+    factories usually canonicalize equal.  Distinct canonical forms do
+    not prove non-isomorphism (facts that tie once labels are masked
+    may visit in either order); :func:`isomorphic` is the exact check."""
+    renames: Dict[int, LabelledNull] = {}
+
+    def rename(term: Term) -> Term:
+        if isinstance(term, LabelledNull):
+            fresh = renames.get(term.label)
+            if fresh is None:
+                fresh = LabelledNull(len(renames) + 1)
+                renames[term.label] = fresh
+            return fresh
+        return term
+
+    def masked_key(fact: Fact) -> str:
+        # Sort with null labels masked out: the visiting order (and so
+        # the renumbering) must not depend on the labels being erased.
+        return str(
+            Fact(
+                fact.predicate,
+                tuple(
+                    LabelledNull(0) if isinstance(term, LabelledNull)
+                    else term
+                    for term in fact.terms
+                ),
+            )
+        )
+
+    return frozenset(
+        Fact(fact.predicate, tuple(rename(term) for term in fact.terms))
+        for fact in sorted(facts, key=masked_key)
+    )
+
+
 def homomorphism_exists(a: Iterable[Fact], b: Iterable[Fact]) -> bool:
     """Is there a homomorphism from ``a`` into ``b``?  Nulls of ``a``
     may map to any term of ``b`` (consistently); constants are fixed."""

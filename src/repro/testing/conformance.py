@@ -32,10 +32,6 @@ disagree``                static machinery (safety / stratification /
                           program clean, yet a sentinel identifier
                           surfaced in an ``@output`` fact — the static
                           information-flow analysis is unsound
-``parallel-diverged``     the parallel sharded chase did not reproduce
-                          the serial run bit-for-bit (facts, EGD
-                          violations, round count or provenance
-                          insertion order) — a scheduler/merge bug
 ``disagree``              anything else — a real conformance failure
 ========================  ====================================================
 
@@ -91,28 +87,13 @@ DEFAULT_MAX_FACTS = 4_000
 class _Run:
     """Outcome of one evaluator on one program."""
 
-    __slots__ = (
-        "kind", "facts", "violations", "error", "rounds", "provenance",
-    )
+    __slots__ = ("kind", "facts", "violations", "error")
 
-    def __init__(
-        self,
-        kind,
-        facts=None,
-        violations=None,
-        error=None,
-        rounds=None,
-        provenance=None,
-    ):
+    def __init__(self, kind, facts=None, violations=None, error=None):
         self.kind = kind  # 'ok' | 'budget' | 'error'
         self.facts = facts
         self.violations = violations
         self.error = error
-        #: Chase rounds executed (``None`` unless the run succeeded).
-        self.rounds = rounds
-        #: Comparable provenance sequence (insertion order), captured
-        #: only when the caller asked for it — the parallel gate.
-        self.provenance = provenance
 
 
 def _violation_pairs(pairs) -> Set[frozenset]:
@@ -134,34 +115,6 @@ ENGINE_VARIANTS = ("planned", "legacy", "both")
 #: requires columnar/dict agreement before any engine/oracle check.
 BACKENDS = ("dict", "columnar", "both")
 
-#: Execution modes for the parallel sharded chase: ``serial`` (the
-#: default, worker pool disabled), ``parallel`` (every engine lane runs
-#: with :data:`PARALLEL_WORKERS` workers), or ``both`` — which first
-#: gates *bit-identical* parallel/serial agreement (facts, EGD
-#: violations, chase rounds AND provenance insertion order) before any
-#: engine/oracle comparison, so a scheduler bug is reported as
-#: ``parallel-diverged`` rather than as an oracle mismatch.
-PARALLELISM_MODES = ("serial", "parallel", "both")
-
-#: Worker count used by the ``parallel``/``both`` modes.
-PARALLEL_WORKERS = 4
-
-
-def _provenance_sequence(result) -> Tuple:
-    """The provenance log as a comparable sequence.
-
-    Order matters: the parallel chase promises the *same insertion
-    order* as serial, so two logs compare equal exactly when every
-    derivation (fact, rule, premises) matches position by position."""
-    return tuple(
-        (
-            str(d.fact),
-            d.rule_label,
-            tuple(str(p) for p in d.premises),
-        )
-        for d in result.provenance.derivations()
-    )
-
 
 def _run_engine(
     program: Program,
@@ -170,23 +123,17 @@ def _run_engine(
     termination: str,
     use_plans: bool = True,
     backend: str = "dict",
-    parallelism: int = 0,
-    provenance: bool = False,
 ) -> _Run:
     columnar = backend == "columnar"
     try:
         result = program.run(
-            provenance=provenance,
+            provenance=False,
             max_rounds=max_rounds,
             max_facts=max_facts,
             termination=termination,
             use_plans=use_plans,
             use_columnar=columnar,
             columnar_threshold=1 if columnar else None,
-            # Pin the worker count explicitly (1 = serial) so a
-            # CHASE_PARALLELISM environment variable cannot silently
-            # turn the harness's serial reference lanes parallel.
-            parallelism=parallelism if parallelism else 1,
             # The harness runs the analyzer itself (run_one) and must
             # not let the pre-flight mask engine/oracle divergence.
             preflight=False,
@@ -201,10 +148,6 @@ def _run_engine(
         violations=_violation_pairs(
             (violation.left, violation.right)
             for violation in result.egd_violations
-        ),
-        rounds=result.rounds,
-        provenance=(
-            _provenance_sequence(result) if provenance else None
         ),
     )
 
@@ -375,68 +318,6 @@ def _classify(
     return ConformanceOutcome(comparison.verdict, comparison.detail)
 
 
-def _parallel_gate(
-    program: Program,
-    max_rounds: int,
-    max_facts: int,
-    termination: str,
-    use_plans: bool,
-    backend: str,
-) -> Optional[ConformanceOutcome]:
-    """Bit-identical parallel/serial check for one engine lane.
-
-    The parallel chase promises *exact* serial equivalence — same fact
-    strings (null labels included), same EGD violations, same round
-    count, same provenance insertion order.  Anything weaker than the
-    ``equal`` verdict (isomorphic, hom-equivalent...) is therefore a
-    finding here even though it would count as agreement in the
-    engine/oracle comparison.  Returns ``None`` when the gate passes,
-    the skip outcome on budget noise (the deterministic parallel
-    budget guard may trip a hair apart from serial at the edge), and a
-    ``parallel-diverged`` disagreement otherwise."""
-    serial = _run_engine(
-        program, max_rounds, max_facts, termination,
-        use_plans=use_plans, backend=backend, provenance=True,
-    )
-    parallel = _run_engine(
-        program, max_rounds, max_facts, termination,
-        use_plans=use_plans, backend=backend,
-        parallelism=PARALLEL_WORKERS, provenance=True,
-    )
-    cross = _classify(parallel, serial, "parallel", "serial")
-    if cross.status in ConformanceOutcome.SKIP_STATUSES:
-        return cross
-    if cross.is_disagreement:
-        return ConformanceOutcome(
-            "parallel-diverged",
-            f"parallel ({PARALLEL_WORKERS} workers) vs serial: "
-            + cross.detail,
-        )
-    if cross.status == "error-match":
-        return None  # same exception either way — agreement
-    if cross.status != "equal":
-        return ConformanceOutcome(
-            "parallel-diverged",
-            "parallel model only "
-            f"{cross.status}-equivalent to serial; the contract is "
-            "bit-identical facts: " + (cross.detail or ""),
-        )
-    if parallel.rounds != serial.rounds:
-        return ConformanceOutcome(
-            "parallel-diverged",
-            f"round counts differ: parallel ran {parallel.rounds}, "
-            f"serial ran {serial.rounds}",
-        )
-    if parallel.provenance != serial.provenance:
-        return ConformanceOutcome(
-            "parallel-diverged",
-            "provenance logs differ (length "
-            f"{len(parallel.provenance)} vs {len(serial.provenance)}"
-            ") or disagree on derivation order",
-        )
-    return None
-
-
 def run_one(
     program: Program,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
@@ -444,7 +325,6 @@ def run_one(
     termination: str = "restricted",
     engine_variant: str = "planned",
     backend: str = "dict",
-    parallelism: str = "serial",
 ) -> ConformanceOutcome:
     """Execute the evaluators on one program and classify the pair.
 
@@ -459,14 +339,7 @@ def run_one(
     default), ``"columnar"`` (promotion forced at threshold 1), or
     ``"both"`` — which gates columnar/dict agreement *before* any
     engine/oracle comparison, so a backend bug is reported as the
-    backend diff rather than as an oracle mismatch.
-
-    ``parallelism`` picks the chase execution mode(s): ``"serial"``
-    (the default), ``"parallel"`` (every engine lane runs on
-    :data:`PARALLEL_WORKERS` workers), or ``"both"`` — which first
-    gates bit-identical parallel/serial agreement (facts, violations,
-    rounds and provenance order) before the engine-vs-oracle diff; a
-    divergence is reported as ``parallel-diverged``."""
+    backend diff rather than as an oracle mismatch."""
     if engine_variant not in ENGINE_VARIANTS:
         raise ValueError(
             f"unknown engine_variant {engine_variant!r}; "
@@ -475,11 +348,6 @@ def run_one(
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; use one of {BACKENDS}"
-        )
-    if parallelism not in PARALLELISM_MODES:
-        raise ValueError(
-            f"unknown parallelism {parallelism!r}; "
-            f"use one of {PARALLELISM_MODES}"
         )
     analyzer_errors, static_leak = _analyzer_errors(program)
     if analyzer_errors:
@@ -490,26 +358,14 @@ def run_one(
         )
     use_plans = engine_variant != "legacy"
     primary_backend = "columnar" if backend == "both" else backend
-    if parallelism == "both":
-        gate = _parallel_gate(
-            program, max_rounds, max_facts, termination,
-            use_plans, primary_backend,
-        )
-        if gate is not None:
-            return gate
-    lane_workers = (
-        PARALLEL_WORKERS if parallelism == "parallel" else 0
-    )
     engine = _run_engine(
         program, max_rounds, max_facts, termination,
         use_plans=use_plans, backend=primary_backend,
-        parallelism=lane_workers,
     )
     if backend == "both":
         dict_run = _run_engine(
             program, max_rounds, max_facts, termination,
             use_plans=use_plans, backend="dict",
-            parallelism=lane_workers,
         )
         cross = _classify(engine, dict_run, "columnar", "dict")
         if cross.is_disagreement or cross.status in (
@@ -520,7 +376,6 @@ def run_one(
         legacy = _run_engine(
             program, max_rounds, max_facts, termination,
             use_plans=False, backend=primary_backend,
-            parallelism=lane_workers,
         )
         cross = _classify(engine, legacy, "planned", "legacy")
         if cross.is_disagreement or cross.status in (
@@ -661,7 +516,6 @@ def write_artifact(
     termination: str,
     engine_variant: str = "planned",
     backend: str = "dict",
-    parallelism: str = "serial",
 ) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"conformance_seed_{seed}.json")
@@ -674,7 +528,6 @@ def write_artifact(
         "termination": termination,
         "engine_variant": engine_variant,
         "backend": backend,
-        "parallelism": parallelism,
         "status": outcome.status,
         "detail": outcome.detail,
         "program": _render_or_repr(program),
@@ -703,7 +556,6 @@ def run_conformance(
     progress: Optional[Callable[[int, ConformanceOutcome], None]] = None,
     engine_variant: str = "planned",
     backend: str = "dict",
-    parallelism: str = "serial",
 ) -> ConformanceReport:
     """Run ``examples`` seeds starting at ``base_seed``; one outcome
     each.  Disagreements are minimized and written as artifacts when
@@ -720,7 +572,6 @@ def run_conformance(
             termination=termination,
             engine_variant=engine_variant,
             backend=backend,
-            parallelism=parallelism,
         )
         outcome.seed = seed
         report.outcomes.append(outcome)
@@ -738,7 +589,6 @@ def run_conformance(
                         termination=termination,
                         engine_variant=engine_variant,
                         backend=backend,
-                        parallelism=parallelism,
                     ).is_disagreement,
                 )
             report.artifacts.append(
@@ -755,7 +605,6 @@ def run_conformance(
                     termination,
                     engine_variant,
                     backend,
-                    parallelism,
                 )
             )
     return report
@@ -781,7 +630,6 @@ def replay_artifact(path: str) -> ConformanceOutcome:
         termination=payload.get("termination", "restricted"),
         engine_variant=payload.get("engine_variant", "planned"),
         backend=payload.get("backend", "dict"),
-        parallelism=payload.get("parallelism", "serial"),
     )
     outcome.seed = payload.get("seed")
     return outcome
@@ -816,12 +664,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "columnar (promotion forced at threshold 1), "
                         "or both (columnar/dict agreement gated "
                         "before any engine/oracle comparison)")
-    parser.add_argument("--parallelism", default="both",
-                        choices=PARALLELISM_MODES,
-                        help="chase execution mode(s) under test: "
-                        "serial, parallel (4 workers), or both "
-                        "(bit-identical parallel/serial agreement "
-                        "gated before any engine/oracle comparison)")
     parser.add_argument("--artifact-dir", default="conformance-artifacts")
     parser.add_argument("--no-minimize", action="store_true")
     parser.add_argument("--replay", metavar="ARTIFACT",
@@ -852,7 +694,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         progress=progress,
         engine_variant=args.engine_variant,
         backend=args.backend,
-        parallelism=args.parallelism,
     )
     print(report.summary())
     if report.disagreements:

@@ -27,7 +27,6 @@ Semantics implemented here:
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, \
     Tuple
@@ -183,22 +182,10 @@ class _Binding:
         self.premises = premises
 
 
-def parallelism_default() -> int:
-    """Worker count from ``CHASE_PARALLELISM`` (unset/0/1 = serial)."""
-    raw = os.environ.get("CHASE_PARALLELISM", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 0
-
-
 def binding_dedup_key(substitution: Substitution) -> Tuple:
     """The engine's binding dedup key: sorted (name, value) pairs of
-    the non-anonymous bound variables.  Shared by the serial planned
-    path and the sharded parallel merge so their dedup decisions are
-    identical."""
+    the non-anonymous bound variables, so two matches that bind the
+    same named variables to the same values count once."""
     return tuple(sorted(
         (
             (variable.name, value)
@@ -271,7 +258,6 @@ class ChaseEngine:
         stall_threshold: Optional[float] = None,
         use_columnar: Optional[bool] = None,
         columnar_threshold: Optional[int] = None,
-        parallelism: Optional[int] = None,
     ):
         if termination not in ("restricted", "isomorphic"):
             raise EvaluationError(
@@ -298,9 +284,6 @@ class ChaseEngine:
         self.max_facts = max_facts
         self.strict_egds = strict_egds
         self._null_factory = null_factory
-        # Thread-affine engine state lives here (see the properties
-        # below); must exist before the first property setter fires.
-        self._tls = threading.local()
         # Negative labels for restricted-chase trial nulls; these are
         # never stored and never counted as injected.
         self._placeholder_label = 0
@@ -364,47 +347,6 @@ class ChaseEngine:
         self._events = None
         self._stratum_index = 0
         self._round = 0
-        # Parallel chase: worker count (0/1 = serial), the shard
-        # executor installed by repro.vadalog.parallel for the
-        # duration of a parallel run, and an optional scheduler
-        # factory tests use to inject a deterministic FakeScheduler.
-        if parallelism is None:
-            parallelism = parallelism_default()
-        self.parallelism = max(0, int(parallelism))
-        self._shard_exec = None
-        self._scheduler_factory = None
-
-    # -- thread-affine state ----------------------------------------------
-    #
-    # The parallel scheduler runs strata on worker threads, and the
-    # "where am I" markers (stratum/round, for decision events) plus
-    # the placeholder-null counter are per-thread so concurrent strata
-    # never clobber each other.  Serial runs use the main thread's
-    # slots and behave exactly as before.
-
-    @property
-    def _stratum_index(self) -> int:
-        return getattr(self._tls, "stratum_index", 0)
-
-    @_stratum_index.setter
-    def _stratum_index(self, value: int) -> None:
-        self._tls.stratum_index = value
-
-    @property
-    def _round(self) -> int:
-        return getattr(self._tls, "round", 0)
-
-    @_round.setter
-    def _round(self, value: int) -> None:
-        self._tls.round = value
-
-    @property
-    def _placeholder_label(self) -> int:
-        return getattr(self._tls, "placeholder_label", 0)
-
-    @_placeholder_label.setter
-    def _placeholder_label(self, value: int) -> None:
-        self._tls.placeholder_label = value
 
     # -- public API ------------------------------------------------------
 
@@ -419,13 +361,6 @@ class ChaseEngine:
                 columnar_threshold=self.columnar_threshold,
             )
         )
-        if self.parallelism > 1 and self.rules and not self.analyze:
-            # Parallel mode: stratum scheduling + sharded enumeration,
-            # bit-identical to the serial path below (ANALYZE keeps
-            # its single-threaded instrumentation).
-            from .parallel import run_parallel
-
-            return run_parallel(self, store)
         provenance = ProvenanceLog(enabled=self.provenance_enabled)
         null_factory = self._null_factory or NullFactory()
         context = ExternalContext(store, null_factory)
@@ -767,10 +702,6 @@ class ChaseEngine:
     ) -> List[_Binding]:
         """Run the rule's compiled plans and materialize the deduped
         binding list (same contract as the legacy enumerator)."""
-        if self._shard_exec is not None:
-            return self._shard_exec.enumerate(
-                self, rule, plans, store, first_round
-            )
         if self._batch:
             return self._enumerate_batched(rule, plans, store, first_round)
         results: List[_Binding] = []
@@ -1161,7 +1092,7 @@ class ChaseEngine:
         first_round: bool,
     ) -> bool:
         metrics = self._metrics
-        if self.use_plans and metrics is None and self._shard_exec is None:
+        if self.use_plans and metrics is None:
             # Telemetry-free fast paths.  Metrics runs keep the
             # two-phase enumerate/fire shape so match/fire attribution
             # stays meaningful.

@@ -340,13 +340,8 @@ class FactStore:
             raise ValueError(f"cannot store non-ground atom {fact}")
         relation = self._relations.get(fact.predicate)
         if relation is None:
-            # setdefault keeps the table consistent even if two
-            # threads race to create the same relation (only one
-            # stratum ever *writes* a predicate, but externals may
-            # inject into predicates nobody pre-registered).
-            relation = self._relations.setdefault(
-                fact.predicate, _PredicateRelation()
-            )
+            relation = _PredicateRelation()
+            self._relations[fact.predicate] = relation
         added = relation.add(fact)
         if (
             added
@@ -459,65 +454,6 @@ class FactStore:
             relation.delta = relation.snapshot_facts()
             relation.pending = set()
             relation.delta_indices.clear()
-
-    # -- scoped semi-naive bookkeeping (parallel chase) --------------------
-    #
-    # The parallel scheduler runs independent strata concurrently, so
-    # no stratum may touch the *global* frontier: each one resets and
-    # advances only the predicates its own rules write.  Ancestor
-    # predicates are frozen by then and carry an empty delta — exactly
-    # what the serial engine's round >= 2 sees after its first global
-    # advance.
-
-    def ensure_relations(self, predicates: Iterable[str]) -> None:
-        """Pre-create empty relations so the relation table stops
-        growing while concurrent strata iterate it."""
-        for predicate in predicates:
-            if predicate not in self._relations:
-                self._relations.setdefault(predicate, _PredicateRelation())
-
-    def clear_deltas(self) -> None:
-        """Empty every relation's frontier bookkeeping (delta and
-        pending) without touching the stored facts."""
-        for relation in self._relations.values():
-            relation.delta = set()
-            relation.pending = set()
-            relation.delta_indices.clear()
-
-    def reset_delta_scoped(self, predicates: Iterable[str]) -> None:
-        """``reset_delta_to_all`` restricted to the given predicates."""
-        for predicate in predicates:
-            relation = self._relations.get(predicate)
-            if relation is None:
-                continue
-            relation.delta = relation.snapshot_facts()
-            relation.pending = set()
-            relation.delta_indices.clear()
-
-    def advance_delta_scoped(self, predicates: Iterable[str]) -> None:
-        """``advance_delta`` restricted to the given predicates."""
-        for predicate in predicates:
-            relation = self._relations.get(predicate)
-            if relation is None:
-                continue
-            relation.delta = relation.pending
-            relation.pending = set()
-            relation.delta_indices.clear()
-
-    def has_delta_scoped(self, predicates: Iterable[str]) -> bool:
-        for predicate in predicates:
-            relation = self._relations.get(predicate)
-            if relation is not None and relation.delta:
-                return True
-        return False
-
-    def frontier_size_scoped(self, predicates: Iterable[str]) -> int:
-        return sum(
-            len(relation.delta)
-            for predicate in predicates
-            for relation in (self._relations.get(predicate),)
-            if relation is not None
-        )
 
     # -- memory accounting ---------------------------------------------------
 

@@ -70,24 +70,6 @@ class ProvenanceLog:
                 "provenance.derivations", rule=rule_label or "<unlabelled>"
             ).inc()
 
-    def absorb(self, other: "ProvenanceLog") -> None:
-        """Fold another log's derivations in, preserving their
-        insertion order and first-derivation-wins semantics.
-
-        The parallel chase gives each stratum a private log and
-        absorbs them in stratum order, so the merged log's iteration
-        order is exactly what a serial run would have produced.  The
-        sub-log already emitted its telemetry counters when it
-        recorded, so this bypasses :meth:`record` to avoid double
-        counting.
-        """
-        if not self.enabled:
-            return
-        for fact, derivation in other._derivations.items():
-            if fact not in self._derivations:
-                self._derivations[fact] = derivation
-        self._per_rule.update(other._per_rule)
-
     def stats(self) -> Dict[str, object]:
         """Derivation counts, total and per rule label — the
         provenance-side view of which rules did the work."""

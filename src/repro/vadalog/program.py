@@ -161,7 +161,6 @@ class Program:
         analyze: bool = False,
         use_columnar: Optional[bool] = None,
         columnar_threshold: Optional[int] = None,
-        parallelism: Optional[int] = None,
     ) -> ChaseResult:
         """Evaluate the program over its inline facts plus ``facts``.
 
@@ -190,11 +189,6 @@ class Program:
         batched plan executor (default from ``CHASE_COLUMNAR``, on);
         ``columnar_threshold`` overrides the per-predicate cardinality
         at which relations switch to column storage.
-
-        ``parallelism`` selects the worker count for the parallel
-        chase (default from ``CHASE_PARALLELISM``; 0/1 = serial).
-        Parallel output is bit-identical to serial — see
-        ``docs/parallel-chase.md``.
         """
         if preflight:
             self.preflight()
@@ -224,7 +218,6 @@ class Program:
             analyze=analyze,
             use_columnar=use_columnar,
             columnar_threshold=columnar_threshold,
-            parallelism=parallelism,
         )
         return engine.run(store)
 

@@ -155,9 +155,10 @@ class TestMergeAssociativity:
 
 
 class TestThreadSafety:
-    """Concurrent instrument updates must lose nothing: the parallel
-    chase hammers counters, gauges, histograms and the event log from
-    stratum and shard workers simultaneously."""
+    """Concurrent instrument updates must lose nothing: registries and
+    the event log are shared across threads, because the ``/metrics``
+    scrape thread (``ThreadingHTTPServer`` in ``telemetry/exporters.py``)
+    snapshots them while the run keeps emitting."""
 
     THREADS = 8
     PER_THREAD = 2_000

@@ -3,13 +3,14 @@ here silently masks (or fabricates) engine/oracle disagreements."""
 
 from repro.testing.compare import (
     ComparisonResult,
+    canonical_null_form,
     compare_fact_sets,
     diff_summary,
     homomorphically_equivalent,
     homomorphism_exists,
     isomorphic,
 )
-from repro.vadalog.atoms import Fact
+from repro.vadalog.atoms import Atom, Fact
 from repro.vadalog.terms import LabelledNull
 
 
@@ -132,3 +133,32 @@ class TestCompareFactSets:
         summary = diff_summary([fact("p", 1)], [fact("p", 2)])
         assert "only in left: p(1)" in summary
         assert "only in right: p(2)" in summary
+
+
+class TestCanonicalNullForm:
+    def test_isomorphic_sets_canonicalize_equal(self):
+        from repro.vadalog.terms import LabelledNull
+
+        left = [
+            Atom.of("p", LabelledNull(7), 1),
+            Atom.of("p", LabelledNull(9), 2),
+        ]
+        right = [
+            Atom.of("p", LabelledNull(2), 1),
+            Atom.of("p", LabelledNull(1), 2),
+        ]
+        assert canonical_null_form(left) == canonical_null_form(right)
+
+    def test_distinct_structures_stay_distinct(self):
+        from repro.vadalog.terms import LabelledNull
+
+        shared = [
+            Atom.of("p", LabelledNull(1), 1),
+            Atom.of("p", LabelledNull(1), 2),
+        ]
+        separate = [
+            Atom.of("p", LabelledNull(1), 1),
+            Atom.of("p", LabelledNull(2), 2),
+        ]
+        assert canonical_null_form(shared) != \
+            canonical_null_form(separate)

@@ -161,6 +161,30 @@ class TestArtifacts:
         outcome = replay_artifact(str(path))
         assert outcome.status == "equal"
 
+    def test_replay_ignores_stale_parallelism_key(self, tmp_path):
+        # Artifacts written while the harness had a parallel lane carry
+        # a "parallelism" key; replay ignores it and runs the one
+        # serial engine, agreeing with run_one on the same program.
+        config = GeneratorConfig()
+        program = generate_program(random.Random(78001), config)
+        expected = run_one(program)
+        expected.seed = 78001
+        path = write_artifact(
+            str(tmp_path), 78001, 78000, config, expected, program,
+            minimized=None, max_rounds=400, max_facts=4000,
+            termination="restricted", engine_variant="planned",
+            backend="dict",
+        )
+        payload = json.loads(open(path).read())
+        assert "parallelism" not in payload
+        payload["parallelism"] = "both"
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        replayed = replay_artifact(path)
+        assert replayed.status == expected.status
+        assert replayed.detail == expected.detail
+        assert replayed.flow_checked == expected.flow_checked
+
 
 def test_program_roundtrips_through_renderer():
     # The artifact format embeds rendered source; parsing it back must
@@ -237,96 +261,32 @@ class TestEngineVariant:
         assert "planned" in outcome.detail
 
 
-class TestParallelismMode:
-    """The parallelism knob: bit-identical parallel/serial gating."""
+class TestSmokeScript:
+    """``benchmarks/smoke_conformance.py`` argument handling."""
 
-    def test_unknown_mode_rejected(self):
-        program = generate_program(random.Random(5), GeneratorConfig())
-        try:
-            run_one(program, parallelism="turbo")
-        except ValueError as exc:
-            assert "turbo" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("expected ValueError")
+    def test_extra_argument_exits_with_usage(self, monkeypatch, capsys):
+        import importlib.util
+        import sys
+        from pathlib import Path
 
-    def test_both_mode_gates_parallel_before_oracle(self):
-        report = run_conformance(
-            base_seed=78100, examples=15, parallelism="both"
+        script = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "smoke_conformance.py"
         )
-        assert report.disagreements == []
-
-    def test_parallel_mode_agrees_with_oracle(self):
-        report = run_conformance(
-            base_seed=78200, examples=15, parallelism="parallel"
+        # The script puts its own directory on sys.path at import.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(
+            "smoke_conformance", script
         )
-        assert report.disagreements == []
+        smoke = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(smoke)
 
-    def test_artifact_records_parallelism(self, tmp_path):
-        config = GeneratorConfig()
-        program = generate_program(random.Random(78001), config)
-        outcome = run_one(program, parallelism="both")
-        outcome.seed = 78001
-        path = write_artifact(
-            str(tmp_path), 78001, 78000, config, outcome, program,
-            minimized=None, max_rounds=400, max_facts=4000,
-            termination="restricted", engine_variant="planned",
-            backend="dict", parallelism="both",
+        def no_run(**kwargs):  # pragma: no cover - the guard must hold
+            raise AssertionError("a stale argument still ran the smoke")
+
+        monkeypatch.setattr(smoke, "run_conformance", no_run)
+        monkeypatch.setattr(
+            sys, "argv", [str(script), "500", "both", "both", "both"]
         )
-        payload = json.loads(open(path).read())
-        assert payload["parallelism"] == "both"
-        replayed = replay_artifact(path)
-        assert replayed.status == outcome.status
-
-    def test_parallel_divergence_is_caught(self):
-        # Sabotage the parallel lane: a fact smuggled only into
-        # parallel runs must surface as parallel-diverged, proving
-        # the gate actually compares the two execution modes.
-        from repro.testing import conformance as mod
-        from repro.vadalog.atoms import Atom
-
-        program = generate_program(random.Random(9), GeneratorConfig())
-        real = mod._run_engine
-
-        def crooked(prog, max_rounds, max_facts, termination,
-                    use_plans=True, backend="dict", parallelism=0,
-                    provenance=False):
-            run = real(prog, max_rounds, max_facts, termination,
-                       use_plans=use_plans, backend=backend,
-                       parallelism=parallelism, provenance=provenance)
-            if parallelism > 1 and run.kind == "ok":
-                run.facts = run.facts | {Atom.of("smuggled", 1)}
-            return run
-
-        mod._run_engine = crooked
-        try:
-            outcome = run_one(program, parallelism="both")
-        finally:
-            mod._run_engine = real
-        assert outcome.status == "parallel-diverged"
-        assert outcome.is_disagreement
-
-    def test_round_skew_is_caught(self):
-        # Same facts, different round count: weaker harnesses would
-        # call that agreement; the bit-identical gate must not.
-        from repro.testing import conformance as mod
-
-        program = generate_program(random.Random(9), GeneratorConfig())
-        real = mod._run_engine
-
-        def skewed(prog, max_rounds, max_facts, termination,
-                   use_plans=True, backend="dict", parallelism=0,
-                   provenance=False):
-            run = real(prog, max_rounds, max_facts, termination,
-                       use_plans=use_plans, backend=backend,
-                       parallelism=parallelism, provenance=provenance)
-            if parallelism > 1 and run.kind == "ok":
-                run.rounds = (run.rounds or 0) + 1
-            return run
-
-        mod._run_engine = skewed
-        try:
-            outcome = run_one(program, parallelism="both")
-        finally:
-            mod._run_engine = real
-        assert outcome.status == "parallel-diverged"
-        assert "round" in outcome.detail
+        assert smoke.main() == 2
+        assert smoke.USAGE in capsys.readouterr().err

@@ -388,11 +388,8 @@ class TestBatchedErrorMasking:
         from repro.telemetry.events import EVENT_SCHEMA_VERSION
 
         telemetry.enable(events=True)
-        # Pinned serial: batched (vectorized) execution is what emits
-        # the mask event, and the parallel chase enumerates row-wise.
         Program.parse(self.MASK_PROGRAM).run(
-            preflight=False, use_columnar=True, columnar_threshold=1,
-            parallelism=1,
+            preflight=False, use_columnar=True, columnar_threshold=1
         )
         log = telemetry.events()
         masks = log.tail("batch_mask")
@@ -411,8 +408,7 @@ class TestBatchedErrorMasking:
     def test_mask_counter_attributed_to_rule(self):
         telemetry.enable()
         Program.parse(self.MASK_PROGRAM).run(
-            preflight=False, use_columnar=True, columnar_threshold=1,
-            parallelism=1,
+            preflight=False, use_columnar=True, columnar_threshold=1
         )
         counters = telemetry.registry().counters("chase.batch_masked_rows")
         assert sum(counters.values()) == 1
