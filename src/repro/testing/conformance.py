@@ -126,8 +126,9 @@ def _run_engine(
 ) -> _Run:
     columnar = backend == "columnar"
     try:
+        # Provenance stays at its default (on): the harness checks the
+        # configuration Program.run ships with.
         result = program.run(
-            provenance=False,
             max_rounds=max_rounds,
             max_facts=max_facts,
             termination=termination,

@@ -60,30 +60,13 @@ class AggregateState:
         group.contributions[contributor] = retained
         return True, self.value(group_key)
 
-    def absorb(
-        self,
-        group_key: Hashable,
-        contributor: Hashable,
-        contribution: Any,
-    ) -> None:
-        """:meth:`contribute` without the per-call value recomputation
-        — for batched evaluation, which defers reading values until
-        every contribution of the rule application is in."""
-        group = self._groups.get(group_key)
-        if group is None:
-            group = _Group()
-            self._groups[group_key] = group
-        contributions = group.contributions
-        previous = contributions.get(contributor)
-        retained = self._combine(previous, contribution)
-        if previous is None or retained != previous:
-            contributions[contributor] = retained
-
     def absorb_many(self, group_keys, contributors, contributions) -> None:
-        """Bulk :meth:`absorb` over three parallel sequences (one entry
-        per batch row).  The common aggregate functions get dedicated
-        loops so the per-row dispatch through :meth:`_combine` is paid
-        only for the rare ones."""
+        """Bulk :meth:`contribute` over three parallel sequences (one
+        entry per batch row), without reading any group's value — for
+        batched evaluation, which defers that until every contribution
+        of the rule application is in.  The common aggregate functions
+        get dedicated loops so the per-row dispatch through
+        :meth:`_combine` is paid only for the rare ones."""
         groups = self._groups
         function = self.function
         if function == "mcount":

@@ -12,9 +12,11 @@ Semantics implemented here:
 * **Monotonic aggregation** with contributor semantics: aggregate
   predicates are *functional* per group — when a group's value improves
   the previously emitted fact is retracted and replaced, so downstream
-  joins always see the most accurate value.  Recursion through
-  aggregates is allowed (the ownership-closure rules of Section 4.4
-  depend on it).
+  joins always see the most accurate value.  A group replaces only a
+  fact it added itself: an emission that finds its fact already in the
+  store (an input fact, or another rule's) leaves that fact alone and
+  never retracts it later.  Recursion through aggregates is allowed
+  (the ownership-closure rules of Section 4.4 depend on it).
 * **External predicates** (``#``-prefixed) resolved through the
   registry; externals may inject facts (``#anonymize``), which re-enter
   the semi-naive frontier.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, \
     Tuple
 
@@ -332,10 +335,12 @@ class ChaseEngine:
         # reused engine pays compilation once.
         self._plan_cache: Dict[int, RulePlans] = {}
         # id(rule) -> sorted non-anonymous variable order for batch
-        # dedup keys, and -> bulk-fire mode ('facts'/'aggregates'/
-        # None); both are static per rule.
+        # dedup keys, -> bulk-fire mode ('facts'/'aggregates'/None) and
+        # -> conditions deferred past external evaluation; all static
+        # per rule.
         self._dedup_orders: Dict[int, List[Variable]] = {}
         self._batch_fire_modes: Dict[int, Optional[str]] = {}
+        self._deferred: Dict[int, List] = {}
         # id(JoinPlan) -> PlanAnalysis, reset per run (ANALYZE only).
         self._plan_analysis: Dict[int, PlanAnalysis] = {}
         # Per-run metrics registry; None while telemetry is disabled so
@@ -855,12 +860,12 @@ class ChaseEngine:
         listener, no externals (they expand at fire time under routing
         order).  The facts path additionally needs ground heads (no
         existentials — the restricted-chase image check is per-row);
-        the aggregate path needs provenance off (legacy records every
-        intermediate emission), no post-aggregate conditions (legacy
+        the aggregate path needs no post-aggregate conditions (legacy
         checks them against intermediate values, an order-dependent
         effect) and no aggregate input reading another aggregate's
         target (legacy evaluates later aggregates with earlier targets
-        already substituted)."""
+        already substituted).  Provenance does not matter: the
+        aggregate path records one derivation per group fact it adds."""
         mode = self._batch_fire_modes.get(id(rule))
         if mode is not None or id(rule) in self._batch_fire_modes:
             return mode
@@ -874,8 +879,6 @@ class ChaseEngine:
         if any(lit.atom.is_external for lit in rule.body):
             return None
         if rule.has_aggregates:
-            if self.provenance_enabled:
-                return None
             targets = {agg.target for agg in rule.aggregates}
             for condition in rule.conditions:
                 if targets & set(condition.variables()):
@@ -907,7 +910,7 @@ class ChaseEngine:
         their own additions mid-enumeration (full indices are only
         consulted by probes, which have all run); :class:`PlanFallback`
         can therefore only escape before the store is touched."""
-        track = mode == "facts" and self.provenance_enabled
+        track = self.provenance_enabled
         batches = []
         for plan in self._applicable_plans(plans, store, first_round):
             analysis = self._analysis_for(plan) if self.analyze else None
@@ -921,7 +924,7 @@ class ChaseEngine:
             return False
         if mode == "aggregates":
             return self._fire_aggregates_batched(
-                rule, rule_index, batches, store,
+                rule, rule_index, batches, store, provenance,
                 aggregate_states, emitted_aggregates,
             )
         return self._fire_facts_batched(rule, batches, store, provenance)
@@ -966,6 +969,7 @@ class ChaseEngine:
         rule_index: int,
         batches,
         store: FactStore,
+        provenance: ProvenanceLog,
         aggregate_states: Dict,
         emitted_aggregates: Dict,
     ) -> bool:
@@ -979,7 +983,10 @@ class ChaseEngine:
         the end of the application only the final atom remains), and
         the final atom differs from the previously emitted one iff any
         contribution changed the group — so rounds, delta frontiers
-        and the changed flag all match."""
+        and the changed flag all match.
+
+        With provenance on, each added group fact gets one derivation
+        whose premises are the group's last batch row."""
         targets = {agg.target for agg in rule.aggregates}
         group_vars = sorted(
             (v for v in rule.head_variables() if v not in targets),
@@ -993,8 +1000,9 @@ class ChaseEngine:
                 state = AggregateState(agg.function)
                 aggregate_states[state_key] = state
             specs.append((agg, state))
-        touched: Dict[Tuple, bool] = {}
-        for batch in batches:
+        # Group key -> its last (batch index, row), in first-touch order.
+        touched: Dict[Tuple, Tuple[int, int]] = {}
+        for b, batch in enumerate(batches):
             cols = batch.cols
             try:
                 group_cols = [cols[v] for v in group_vars]
@@ -1005,8 +1013,7 @@ class ChaseEngine:
                 ) from exc
             n = batch.n
             group_keys = _tuple_column(group_cols, n)
-            for group_key in group_keys:
-                touched[group_key] = True
+            touched.update(zip(group_keys, zip(repeat(b), range(n))))
             for agg, state in specs:
                 contributors = _tuple_column(
                     [cols[v] for v in agg.contributors], n
@@ -1015,9 +1022,10 @@ class ChaseEngine:
                     agg.argument, cols, n
                 )
                 state.absorb_many(group_keys, contributors, contributions)
+        track = self.provenance_enabled
         substitution: Dict[Variable, Term] = {}
         changed = False
-        for group_key in touched:
+        for group_key, (b, row) in touched.items():
             for variable, value in zip(group_vars, group_key):
                 substitution[variable] = value
             for agg, state in specs:
@@ -1037,9 +1045,18 @@ class ChaseEngine:
                     continue
                 if previous is not None:
                     store.retract(previous)
-                if store.add(grounded):
-                    changed = True
+                    del emitted_aggregates[emit_key]
+                if not store.add(grounded):
+                    continue
+                changed = True
                 emitted_aggregates[emit_key] = grounded
+                if track:
+                    provenance.record(
+                        grounded,
+                        rule.label,
+                        batches[b].premises_row(row),
+                        note="monotonic aggregate update",
+                    )
         return changed
 
     def _apply_rule_streaming(
@@ -1227,16 +1244,21 @@ class ChaseEngine:
 
     def _deferred_conditions(self, rule: Rule):
         """Conditions mentioning variables bound only by externals."""
+        deferred = self._deferred.get(id(rule))
+        if deferred is not None:
+            return deferred
         regular_vars: Set[Variable] = set()
         for lit in rule.body:
             if not lit.atom.is_external:
                 regular_vars.update(lit.variables())
         regular_vars.update(a.target for a in rule.assignments)
         regular_vars.update(agg.target for agg in rule.aggregates)
-        deferred = []
-        for condition in rule.conditions:
-            if any(v not in regular_vars for v in condition.variables()):
-                deferred.append(condition)
+        deferred = [
+            condition
+            for condition in rule.conditions
+            if any(v not in regular_vars for v in condition.variables())
+        ]
+        self._deferred[id(rule)] = deferred
         return deferred
 
     def _fire(
@@ -1419,6 +1441,7 @@ class ChaseEngine:
                 continue
             if previous is not None:
                 store.retract(previous)
+                del emitted_aggregates[emit_key]
             if store.add(atom):
                 emitted_change = True
                 provenance.record(
@@ -1427,7 +1450,7 @@ class ChaseEngine:
                     premises,
                     note="monotonic aggregate update",
                 )
-            emitted_aggregates[emit_key] = atom
+                emitted_aggregates[emit_key] = atom
         if emitted_change and self._metrics is not None:
             name = self._rule_names.get(id(rule), rule.label or "?")
             self._metrics.counter("chase.rule_firings", rule=name).inc()

@@ -572,11 +572,14 @@ class NaiveChase:
                 facts_by_pred.get(previous.predicate, set()).discard(
                     previous
                 )
+                del emitted[emit_key]
             bucket = facts_by_pred.setdefault(atom.predicate, set())
             if atom not in bucket:
+                # A group owns (and may later replace) only facts it
+                # added itself, never an input or another rule's fact.
                 bucket.add(atom)
                 changed = True
-            emitted[emit_key] = atom
+                emitted[emit_key] = atom
         return changed
 
     # -- EGD enforcement ------------------------------------------------

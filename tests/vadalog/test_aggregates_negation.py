@@ -15,6 +15,7 @@ from repro.vadalog.database import FactStore
 from repro.vadalog.egd import enforce_egds
 from repro.vadalog.negation import DependencyGraph, stratify
 from repro.vadalog.parser.parser import parse_program
+from repro.vadalog.reference import naive_chase
 from repro.vadalog.rules import EGD, Rule
 from repro.vadalog.terms import Constant, LabelledNull, Variable
 from repro.vadalog.wardedness import affected_positions, check_wardedness
@@ -78,6 +79,65 @@ class TestAggregateState:
         state = AggregateState("msum")
         with pytest.raises(EvaluationError):
             state.value("missing")
+
+
+class TestFunctionalAggregateOwnership:
+    """A group replaces only the facts it added: an emission that finds
+    its fact already in the store (here an input fact) neither claims
+    it nor retracts it later, on every evaluation path."""
+
+    SOURCE = (
+        'p("a", 1). p("a", 2). p("a", 3). cnt("a", 1).\n'
+        "p(X, Y), C = mcount(<Y>) -> cnt(X, C).\n"
+    )
+    EXPECTED = {Atom.of("cnt", "a", 1), Atom.of("cnt", "a", 3)}
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("provenance", [True, False])
+    def test_engine_keeps_input_fact(self, provenance, columnar):
+        result = Program.parse(self.SOURCE).run(
+            provenance=provenance,
+            use_columnar=columnar,
+            columnar_threshold=1 if columnar else None,
+        )
+        assert set(result.facts("cnt")) == self.EXPECTED
+
+    def test_oracle_keeps_input_fact(self):
+        program = Program.parse(self.SOURCE)
+        result = naive_chase(program.rules, program.facts)
+        assert set(result.facts("cnt")) == self.EXPECTED
+
+
+class TestSupersededPremises:
+    """Through recursion a rule can fire on a group value that a later
+    round replaces.  The replaced fact leaves the store but keeps its
+    derivation, so explanations never pass it off as input."""
+
+    SOURCE = (
+        'edge(1, 2). edge(2, 3). edge(3, 4). val("g", 1).\n'
+        '@label("best").\n'
+        "val(G, X), C = mmax(X, <X>) -> best(G, C).\n"
+        '@label("step").\n'
+        "best(G, C), edge(C, D) -> val(G, D).\n"
+    )
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_replaced_group_fact_still_explained(self, columnar):
+        result = Program.parse(self.SOURCE).run(
+            use_columnar=columnar,
+            columnar_threshold=1 if columnar else None,
+        )
+        assert set(result.facts("best")) == {Atom.of("best", "g", 4)}
+        superseded = Atom.of("best", "g", 1)
+        assert not result.store.contains(superseded)
+        tree = result.explain(Atom.of("val", "g", 2))
+        premise = tree.children[0]
+        assert premise.fact == superseded
+        assert premise.rule_label == "best"
+        assert "[input]" not in premise.render().splitlines()[0]
+        assert result.provenance.rule_chain(Atom.of("val", "g", 4)) == [
+            "step", "best", "step", "best", "step", "best",
+        ]
 
 
 class TestStratification:
