@@ -78,40 +78,11 @@ def figure7e_rows():
 
 
 def engine_rows(sizes=SIZES):
-    """k-anonymity through the chase engine across the size grid,
-    compiled plans vs the legacy enumerator vs the columnar batch
-    backend."""
-    rows = []
-    for code in sizes:
-        planned = engine_kanon_seconds(code, use_plans=True)
-        legacy = engine_kanon_seconds(code, use_plans=False)
-        columnar = engine_kanon_seconds(
-            code, use_plans=True, columnar=True)
-        rows.append([
-            code, len(dataset(code)),
-            round(planned, 4), round(legacy, 4), round(columnar, 4),
-            round(legacy / planned, 2),
-            round(planned / columnar, 2),
-        ])
-    return rows
-
-
-def record_engine_history():
-    """Append planned/legacy/columnar engine timings at the largest
-    size to the bench trajectory (the regress.py ``engine_fig7e``
-    workload)."""
-    from bench_tracker import record_history_entry
-
-    largest = SIZES[-1]
-    planned = engine_kanon_seconds(largest, use_plans=True)
-    legacy = engine_kanon_seconds(largest, use_plans=False)
-    columnar = engine_kanon_seconds(largest, use_plans=True, columnar=True)
-    return record_history_entry(
-        "engine_fig7e",
-        {"planned_seconds": planned, "legacy_seconds": legacy,
-         "columnar_seconds": columnar},
-        extra={"dataset": largest},
-    )
+    """k-anonymity through the chase engine across the size grid."""
+    return [
+        [code, len(dataset(code)), round(engine_kanon_seconds(code), 4)]
+        for code in sizes
+    ]
 
 
 @pytest.mark.parametrize("measure_name", MEASURES)
@@ -131,20 +102,18 @@ def test_fig7e_full_cycle(benchmark, measure_name):
     )
 
 
-def test_fig7e_engine_planned_matches_legacy(benchmark):
-    # Same riskOutput either way; the speedup itself is tracked by the
-    # regress.py engine_fig7e workload, not asserted here (CI noise).
+def test_fig7e_engine_path(benchmark):
+    # The trajectory itself is tracked by the regress.py engine_fig7e
+    # workload, not asserted here (CI noise).
     rows = benchmark.pedantic(
         engine_rows, args=(("R6A4U", "R25A4U"),), rounds=1, iterations=1
     )
     emit(render_table(
-        "Figure 7e (engine path): k-anonymity via chase, "
-        "plans vs legacy vs columnar",
-        ["dataset", "rows", "planned/s", "legacy/s", "columnar/s",
-         "plan-speedup", "col-speedup"],
+        "Figure 7e (engine path): k-anonymity via chase",
+        ["dataset", "rows", "engine/s"],
         rows,
     ))
-    assert all(row[2] > 0 and row[3] > 0 and row[4] > 0 for row in rows)
+    assert all(row[2] > 0 for row in rows)
 
 
 def test_fig7e_report(benchmark):

@@ -51,55 +51,24 @@ def figure7f_rows():
 
 
 def engine_rows(sizes=SIZES):
-    """k-anonymity through the chase engine across the QI grid,
-    compiled plans vs the legacy enumerator vs the columnar batch
-    backend."""
-    rows = []
-    for code in sizes:
-        db = dataset(code)
-        planned = engine_kanon_seconds(code, use_plans=True)
-        legacy = engine_kanon_seconds(code, use_plans=False)
-        columnar = engine_kanon_seconds(
-            code, use_plans=True, columnar=True)
-        rows.append([
-            code, len(db.quasi_identifiers),
-            round(planned, 4), round(legacy, 4), round(columnar, 4),
-            round(legacy / planned, 2),
-            round(planned / columnar, 2),
-        ])
-    return rows
+    """k-anonymity through the chase engine across the QI grid."""
+    return [
+        [code, len(dataset(code).quasi_identifiers),
+         round(engine_kanon_seconds(code), 4)]
+        for code in sizes
+    ]
 
 
-def record_engine_history():
-    """Append planned/legacy/columnar engine timings at the widest QI
-    set to the bench trajectory (the regress.py ``engine_fig7f``
-    workload)."""
-    from bench_tracker import record_history_entry
-
-    widest = SIZES[-1]
-    planned = engine_kanon_seconds(widest, use_plans=True)
-    legacy = engine_kanon_seconds(widest, use_plans=False)
-    columnar = engine_kanon_seconds(widest, use_plans=True, columnar=True)
-    return record_history_entry(
-        "engine_fig7f",
-        {"planned_seconds": planned, "legacy_seconds": legacy,
-         "columnar_seconds": columnar},
-        extra={"dataset": widest},
-    )
-
-
-def test_fig7f_engine_planned_matches_legacy(benchmark):
+def test_fig7f_engine_path(benchmark):
     rows = benchmark.pedantic(
         engine_rows, args=(("R50A4W",),), rounds=1, iterations=1
     )
     emit(render_table(
-        "Figure 7f (engine path): k-anonymity via chase, "
-        "plans vs legacy vs columnar",
-        ["dataset", "QIs", "planned/s", "legacy/s", "columnar/s",
-         "plan-speedup", "col-speedup"],
+        "Figure 7f (engine path): k-anonymity via chase",
+        ["dataset", "QIs", "engine/s"],
         rows,
     ))
-    assert all(row[2] > 0 and row[3] > 0 and row[4] > 0 for row in rows)
+    assert all(row[2] > 0 for row in rows)
 
 
 @pytest.mark.parametrize("code", ("R50A4W", "R50A9W"))

@@ -31,18 +31,10 @@ def dataset(code: str, seed: int = SEED):
     return generate_dataset(code, seed=seed, scale=SCALE)
 
 
-def engine_kanon_seconds(
-    code: str, use_plans: bool = True, columnar: bool = False
-) -> float:
+def engine_kanon_seconds(code: str) -> float:
     """Seconds to score a dataset's k-anonymity risk *through the
     chase engine* (TUPLE_BUILD + K_ANONYMITY, k = 2) — the reasoning
-    path the native risk measures shortcut.  ``use_plans`` selects
-    compiled join plans or the legacy recursive enumerator and
-    ``columnar`` opts the run into the columnar batch backend
-    (pinned off by default so the planned/legacy lanes keep their
-    historical tuple-at-a-time meaning), so the benches record the
-    planned-vs-legacy-vs-columnar trajectory side by side.
-    """
+    path the native risk measures shortcut."""
     import time
 
     from repro.vadalog.atoms import Atom
@@ -57,10 +49,7 @@ def engine_kanon_seconds(
     facts.append(Atom.of("param", "k", 2))
     program = Program.parse(TUPLE_BUILD + K_ANONYMITY)
     start = time.perf_counter()
-    result = program.run(
-        facts, provenance=False, preflight=False, use_plans=use_plans,
-        use_columnar=columnar,
-    )
+    result = program.run(facts, provenance=False, preflight=False)
     seconds = time.perf_counter() - start
     assert result.tuples("riskOutput"), "engine scored no tuples"
     return seconds

@@ -16,13 +16,13 @@ Workloads (deterministic figure generators, seconds per run):
 * ``smoke_telemetry`` — the Figure 7a anonymization workload run with
   telemetry enabled (the instrumented-path cost);
 * ``engine_fig7e`` — k-anonymity scored *through the chase engine* at
-  the largest Figure 7e size: compiled plans vs the legacy enumerator
-  vs the columnar batch backend (``planned_seconds`` /
-  ``legacy_seconds`` / ``columnar_seconds``; the planned and legacy
-  lanes pin ``use_columnar=False`` so they keep their historical
-  tuple-at-a-time meaning, and the two sub-2s lanes record
-  best-of-3 to shrug off machine-load spikes);
-* ``engine_fig7f`` — same engine triple at the widest Figure 7f QI
+  the largest Figure 7e size, at engine defaults (best-of-3 to shrug
+  off machine-load spikes).  The metric keeps its historical name
+  ``columnar_seconds`` so the committed history still gates it; the
+  retired ``planned_seconds`` / ``legacy_seconds`` lanes stay in the
+  history file as history, and ``check`` only compares metrics the
+  workloads still produce;
+* ``engine_fig7f`` — the same engine lane at the widest Figure 7f QI
   set.
 
 Usage::
@@ -120,12 +120,9 @@ def _workload_engine_fig7e():
 
     largest = fig7e.SIZES[-1]
     return {
-        "planned_seconds": _best_of(lambda: engine_kanon_seconds(
-            largest, use_plans=True, columnar=False)),
-        "legacy_seconds": engine_kanon_seconds(
-            largest, use_plans=False, columnar=False),
-        "columnar_seconds": _best_of(lambda: engine_kanon_seconds(
-            largest, use_plans=True, columnar=True)),
+        "columnar_seconds": _best_of(
+            lambda: engine_kanon_seconds(largest)
+        ),
     }
 
 
@@ -135,12 +132,9 @@ def _workload_engine_fig7f():
 
     widest = fig7f.SIZES[-1]
     return {
-        "planned_seconds": _best_of(lambda: engine_kanon_seconds(
-            widest, use_plans=True, columnar=False)),
-        "legacy_seconds": engine_kanon_seconds(
-            widest, use_plans=False, columnar=False),
-        "columnar_seconds": _best_of(lambda: engine_kanon_seconds(
-            widest, use_plans=True, columnar=True)),
+        "columnar_seconds": _best_of(
+            lambda: engine_kanon_seconds(widest)
+        ),
     }
 
 

@@ -131,15 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--output", action="append", default=None,
                         metavar="PREDICATE",
                         help="predicate(s) to print (default: all derived)")
-    engine.add_argument("--legacy-enumeration", action="store_true",
-                        help="evaluate with the legacy recursive "
-                        "enumerator instead of compiled join plans "
-                        "(same as CHASE_LEGACY_ENUMERATION=1)")
-    engine.add_argument("--no-columnar", action="store_true",
-                        help="keep every relation on the dict backend "
-                        "and evaluate tuple-at-a-time instead of the "
-                        "columnar batch executor (same as "
-                        "CHASE_COLUMNAR=0)")
     engine.add_argument("--check-warded", action="store_true",
                         help="fail if the program is not warded")
     engine.add_argument("--no-preflight", action="store_true",
@@ -162,9 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          dest="json_out",
                          help="also write the explain document (plus "
                          "memory report with --analyze) as JSON")
-    explain.add_argument("--no-columnar", action="store_true",
-                         help="analyze the tuple-at-a-time executor "
-                         "instead of the columnar batch executor")
     explain.add_argument("--no-preflight", action="store_true",
                          help="skip the static-analysis pre-flight gate")
 
@@ -318,11 +306,7 @@ def _command_engine(args) -> int:
                 print("not warded:", violation, file=sys.stderr)
             return 3
         print("program is warded")
-    result = program.run(
-        preflight=not args.no_preflight,
-        use_plans=False if args.legacy_enumeration else None,
-        use_columnar=False if args.no_columnar else None,
-    )
+    result = program.run(preflight=not args.no_preflight)
     if args.rule_profile:
         print("\n--- compiled join plans ---", file=sys.stderr)
         if result.plan_report:
@@ -332,9 +316,6 @@ def _command_engine(args) -> int:
                     print(f"  {plan_name}:", file=sys.stderr)
                     for step in steps:
                         print(f"    {step}", file=sys.stderr)
-        elif result.plan_report is None:
-            print("(no compiled plans — run used the legacy "
-                  "enumerator)", file=sys.stderr)
         else:
             print("(no rules — nothing was planned)", file=sys.stderr)
     inputs = {fact.predicate for fact in program.facts}
@@ -365,8 +346,7 @@ def _command_explain(args) -> int:
     program = Program.parse(source, name=args.program)
     if args.analyze:
         result = program.run(
-            preflight=not args.no_preflight, analyze=True,
-            use_columnar=False if args.no_columnar else None,
+            preflight=not args.no_preflight, analyze=True
         )
         doc = result.explain_report or {}
         doc["memory"] = {

@@ -32,9 +32,6 @@ Event types emitted by the instrumented call sites:
   on demand);
 * ``lifecycle`` — framework-level milestones (``assess`` /
   ``anonymize`` / ``share`` completed, with their headline outcomes);
-* ``plan_fallback`` — a compiled join plan handed a rule back to the
-  legacy enumerator mid-round (rule label, exception class, reason),
-  so an audit can see which rules silently left the fast path;
 * ``heartbeat`` / ``stall`` — live chase progress (stratum, round,
   frontier size, fire rate) and no-progress episodes, see
   ``docs/observability.md``;
@@ -91,7 +88,6 @@ def new_summary() -> Dict[str, Any]:
         "spans": {"total": 0, "by_name": {}},
         "lifecycle": {},
         "counters": {},
-        "plan_fallbacks": {"total": 0, "by_rule": {}},
         "audit": {
             "cells": {action: 0 for action in AUDIT_ACTIONS},
             "iterations": 0,
@@ -153,15 +149,6 @@ def fold(summary: Dict[str, Any], event: Dict[str, Any]) -> Dict[str, Any]:
         stage = str(payload.get("stage", "?"))
         lifecycle = summary["lifecycle"]
         lifecycle[stage] = lifecycle.get(stage, 0) + 1
-    elif event_type == "plan_fallback":
-        fallbacks = summary.setdefault(
-            "plan_fallbacks", {"total": 0, "by_rule": {}}
-        )
-        fallbacks["total"] += 1
-        rule = str(payload.get("rule", "?"))
-        fallbacks["by_rule"][rule] = (
-            fallbacks["by_rule"].get(rule, 0) + 1
-        )
     elif event_type == "metrics":
         # Last snapshot wins; counters are cumulative already.
         summary["counters"] = dict(payload.get("counters", {}))

@@ -183,15 +183,7 @@ def render_explain(doc: Dict[str, Any]) -> str:
         stratum = rule.get("stratum")
         if stratum is not None:
             tags.append(f"stratum {stratum}")
-        if rule.get("streamable"):
-            tags.append("streamable")
         suffix = f"  [{', '.join(tags)}]" if tags else ""
-        if rule.get("unplannable"):
-            lines.append(
-                f"rule {rule.get('rule', '?')}: UNPLANNABLE — "
-                f"{rule.get('reason', '?')} (legacy enumeration)"
-            )
-            continue
         lines.append(f"rule {rule.get('rule', '?')}{suffix}")
         for plan in rule.get("plans", []):
             head = f"  plan {plan.get('name', '?')}"
@@ -225,23 +217,16 @@ def render_memory(memory: Dict[str, Any]) -> str:
     predicates = store.get("predicates", {})
     for name in sorted(predicates):
         info = predicates[name]
-        line = (
+        lines.append(
             f"  {name}: {info.get('facts', 0)} fact(s), "
             f"~{_format_bytes(info.get('estimated_bytes', 0))}, "
             f"{info.get('index_entries', 0)} index entr(ies), "
-            f"frontier {info.get('delta', 0)}"
+            f"frontier {info.get('delta', 0)}, "
+            f"columnar {_format_bytes(info.get('column_bytes', 0))}"
+            f" in columns, {info.get('dictionary_terms', 0)} "
+            f"dict term(s), probes "
+            f"{info.get('probe_hits', 0)}/{info.get('probes', 0)} hit"
         )
-        # Dict-backed predicates keep the historical line verbatim;
-        # columnar ones append their exact column-array footprint and
-        # probe hit rate (real bytes, not the sampled estimate).
-        if info.get("backend") == "columnar":
-            line += (
-                f", columnar {_format_bytes(info.get('column_bytes', 0))}"
-                f" in columns, {info.get('dictionary_terms', 0)} "
-                f"dict term(s), probes "
-                f"{info.get('probe_hits', 0)}/{info.get('probes', 0)} hit"
-            )
-        lines.append(line)
     lines.append(
         f"  total: {store.get('facts', 0)} fact(s), "
         f"~{_format_bytes(store.get('estimated_bytes', 0))}, "

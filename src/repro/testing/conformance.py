@@ -3,13 +3,10 @@
 For every generated (program, database) pair the runner executes
 
 * the production :class:`~repro.vadalog.chase.ChaseEngine` (semi-naive,
-  indexed, routed) — via compiled join plans, the legacy recursive
-  enumerator, or both, selected by the ``engine_variant`` knob — and
+  compiled plans run batch-wise over the columnar store, routed) and
 * the naive :func:`~repro.vadalog.reference.naive_chase` oracle,
 
-under identical round/fact budgets, then classifies the pair
-(``engine_variant="both"`` first requires planned/legacy agreement, so
-a single run asserts three-way planned/legacy/reference consensus):
+under identical round/fact budgets, then classifies the pair:
 
 ========================  ====================================================
 status                    meaning
@@ -102,29 +99,12 @@ def _violation_pairs(pairs) -> Set[frozenset]:
     return {frozenset((repr(left), repr(right))) for left, right in pairs}
 
 
-#: Engine evaluation paths the harness can pit against each other and
-#: against the naive oracle.  ``both`` runs the compiled-plan path AND
-#: the legacy recursive enumerator and requires three-way agreement.
-ENGINE_VARIANTS = ("planned", "legacy", "both")
-
-#: Fact-store backends the harness can pit against each other, the
-#: same shape as ``ENGINE_VARIANTS``: ``dict`` (tuple-at-a-time over
-#: hash indexes), ``columnar`` (dictionary-encoded columns + batched
-#: plan execution, promotion forced at threshold 1 so every relation
-#: actually exercises the columnar code), or ``both`` — which first
-#: requires columnar/dict agreement before any engine/oracle check.
-BACKENDS = ("dict", "columnar", "both")
-
-
 def _run_engine(
     program: Program,
     max_rounds: int,
     max_facts: int,
     termination: str,
-    use_plans: bool = True,
-    backend: str = "dict",
 ) -> _Run:
-    columnar = backend == "columnar"
     try:
         # Provenance stays at its default (on): the harness checks the
         # configuration Program.run ships with.
@@ -132,9 +112,6 @@ def _run_engine(
             max_rounds=max_rounds,
             max_facts=max_facts,
             termination=termination,
-            use_plans=use_plans,
-            use_columnar=columnar,
-            columnar_threshold=1 if columnar else None,
             # The harness runs the analyzer itself (run_one) and must
             # not let the pre-flight mask engine/oracle divergence.
             preflight=False,
@@ -324,32 +301,8 @@ def run_one(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     max_facts: int = DEFAULT_MAX_FACTS,
     termination: str = "restricted",
-    engine_variant: str = "planned",
-    backend: str = "dict",
 ) -> ConformanceOutcome:
-    """Execute the evaluators on one program and classify the pair.
-
-    ``engine_variant`` picks the engine path(s) under test:
-    ``"planned"`` (compiled join plans, the default), ``"legacy"``
-    (recursive enumerator), or ``"both"`` — which additionally
-    differentially tests planned against legacy before checking the
-    engine against the naive reference, so one run asserts three-way
-    agreement.
-
-    ``backend`` picks the fact-store backend(s): ``"dict"`` (the
-    default), ``"columnar"`` (promotion forced at threshold 1), or
-    ``"both"`` — which gates columnar/dict agreement *before* any
-    engine/oracle comparison, so a backend bug is reported as the
-    backend diff rather than as an oracle mismatch."""
-    if engine_variant not in ENGINE_VARIANTS:
-        raise ValueError(
-            f"unknown engine_variant {engine_variant!r}; "
-            f"use one of {ENGINE_VARIANTS}"
-        )
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; use one of {BACKENDS}"
-        )
+    """Execute the evaluators on one program and classify the pair."""
     analyzer_errors, static_leak = _analyzer_errors(program)
     if analyzer_errors:
         return ConformanceOutcome(
@@ -357,32 +310,7 @@ def run_one(
             "static analysis rejects the generated program: "
             + "; ".join(analyzer_errors),
         )
-    use_plans = engine_variant != "legacy"
-    primary_backend = "columnar" if backend == "both" else backend
-    engine = _run_engine(
-        program, max_rounds, max_facts, termination,
-        use_plans=use_plans, backend=primary_backend,
-    )
-    if backend == "both":
-        dict_run = _run_engine(
-            program, max_rounds, max_facts, termination,
-            use_plans=use_plans, backend="dict",
-        )
-        cross = _classify(engine, dict_run, "columnar", "dict")
-        if cross.is_disagreement or cross.status in (
-            ConformanceOutcome.SKIP_STATUSES
-        ):
-            return cross
-    if engine_variant == "both":
-        legacy = _run_engine(
-            program, max_rounds, max_facts, termination,
-            use_plans=False, backend=primary_backend,
-        )
-        cross = _classify(engine, legacy, "planned", "legacy")
-        if cross.is_disagreement or cross.status in (
-            ConformanceOutcome.SKIP_STATUSES
-        ):
-            return cross
+    engine = _run_engine(program, max_rounds, max_facts, termination)
     oracle = _run_oracle(program, max_rounds, max_facts, termination)
     outcome = _classify(engine, oracle)
     if engine.kind == "ok" and not outcome.is_disagreement:
@@ -515,8 +443,6 @@ def write_artifact(
     max_rounds: int,
     max_facts: int,
     termination: str,
-    engine_variant: str = "planned",
-    backend: str = "dict",
 ) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"conformance_seed_{seed}.json")
@@ -527,8 +453,6 @@ def write_artifact(
         "max_rounds": max_rounds,
         "max_facts": max_facts,
         "termination": termination,
-        "engine_variant": engine_variant,
-        "backend": backend,
         "status": outcome.status,
         "detail": outcome.detail,
         "program": _render_or_repr(program),
@@ -555,8 +479,6 @@ def run_conformance(
     artifact_dir: Optional[str] = None,
     minimize: bool = True,
     progress: Optional[Callable[[int, ConformanceOutcome], None]] = None,
-    engine_variant: str = "planned",
-    backend: str = "dict",
 ) -> ConformanceReport:
     """Run ``examples`` seeds starting at ``base_seed``; one outcome
     each.  Disagreements are minimized and written as artifacts when
@@ -571,8 +493,6 @@ def run_conformance(
             max_rounds=max_rounds,
             max_facts=max_facts,
             termination=termination,
-            engine_variant=engine_variant,
-            backend=backend,
         )
         outcome.seed = seed
         report.outcomes.append(outcome)
@@ -588,8 +508,6 @@ def run_conformance(
                         max_rounds=max_rounds,
                         max_facts=max_facts,
                         termination=termination,
-                        engine_variant=engine_variant,
-                        backend=backend,
                     ).is_disagreement,
                 )
             report.artifacts.append(
@@ -604,8 +522,6 @@ def run_conformance(
                     max_rounds,
                     max_facts,
                     termination,
-                    engine_variant,
-                    backend,
                 )
             )
     return report
@@ -613,7 +529,9 @@ def run_conformance(
 
 def replay_artifact(path: str) -> ConformanceOutcome:
     """Re-run a failure artifact.  Prefers the embedded minimized
-    program; falls back to regenerating from the recorded seed."""
+    program; falls back to regenerating from the recorded seed.  Keys
+    older artifacts carry for engine paths that no longer exist
+    (``engine_variant``, ``backend``) are ignored."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     config = GeneratorConfig.from_dict(payload["config"])
@@ -629,8 +547,6 @@ def replay_artifact(path: str) -> ConformanceOutcome:
         max_rounds=payload.get("max_rounds", DEFAULT_MAX_ROUNDS),
         max_facts=payload.get("max_facts", DEFAULT_MAX_FACTS),
         termination=payload.get("termination", "restricted"),
-        engine_variant=payload.get("engine_variant", "planned"),
-        backend=payload.get("backend", "dict"),
     )
     outcome.seed = payload.get("seed")
     return outcome
@@ -654,17 +570,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--max-facts", type=int, default=DEFAULT_MAX_FACTS)
     parser.add_argument("--termination", default="restricted",
                         choices=("restricted", "isomorphic"))
-    parser.add_argument("--engine-variant", default="both",
-                        choices=ENGINE_VARIANTS,
-                        help="engine path(s) under test: compiled "
-                        "plans, the legacy enumerator, or both "
-                        "(three-way planned/legacy/reference check)")
-    parser.add_argument("--backend", default="both",
-                        choices=BACKENDS,
-                        help="fact-store backend(s) under test: dict, "
-                        "columnar (promotion forced at threshold 1), "
-                        "or both (columnar/dict agreement gated "
-                        "before any engine/oracle comparison)")
     parser.add_argument("--artifact-dir", default="conformance-artifacts")
     parser.add_argument("--no-minimize", action="store_true")
     parser.add_argument("--replay", metavar="ARTIFACT",
@@ -693,8 +598,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         artifact_dir=args.artifact_dir,
         minimize=not args.no_minimize,
         progress=progress,
-        engine_variant=args.engine_variant,
-        backend=args.backend,
     )
     print(report.summary())
     if report.disagreements:

@@ -1,54 +1,41 @@
 """Columnar fact storage and batched plan execution.
 
-This module is the second :class:`~repro.vadalog.database.FactStore`
-backend promised by the ROADMAP: high-cardinality relations are stored
-as per-position *code columns* over a per-relation term dictionary
-(the classic dictionary-encoded columnar layout of analytic engines,
-and the storage split the Vadalog System paper motivates for chase
-workloads), while small relations keep the dict/set representation.
-
 Two pieces live here:
 
-* :class:`ColumnarRelation` — a drop-in replacement for the dict
-  relation inside :class:`FactStore`.  Every term is interned once in
-  a :class:`TermDictionary`; each position of the relation is a
-  growable int64 column of codes (numpy-backed when numpy is
-  importable, ``array('q')`` otherwise).  Probes run over *rowid*
-  buckets: a full-key probe is one hash lookup on the code tuple, a
-  partial-key probe goes through a lazily built group index
-  ``positions -> code key -> [rowid]``.  Facts themselves are kept in
+* :class:`ColumnarRelation` — the storage of one predicate inside
+  :class:`~repro.vadalog.database.FactStore`.  Every term is interned
+  once in a per-relation :class:`TermDictionary`; each position of the
+  relation is a growable int64 column of codes (the dictionary-encoded
+  columnar layout of analytic engines, and the storage split the
+  Vadalog System paper motivates for chase workloads).  A full-key
+  probe is one set lookup; a partial-key probe goes through a lazily
+  built group index ``positions -> code key -> [rowid]``.  Facts themselves are kept in
   a rowid-indexed list so probe results stay ordinary
   :class:`~repro.vadalog.atoms.Fact` tuples and every row-at-a-time
-  consumer (legacy enumerator, negation, EGDs, externals,
-  ``conjunction_has_image``) works unchanged.
-* :func:`execute_batch` — a batched executor for the PR 5 compiled
-  join plans.  Instead of a generator stack yielding one substitution
-  dict per match, the whole delta frontier flows through the plan as
-  parallel columns: scan steps are hash joins that expand the batch,
-  assignments/conditions evaluate per row through a zero-copy
-  :class:`_RowView`, negation checks filter rows in place.  The
-  binding set it produces is identical to
-  :meth:`JoinPlan.execute <repro.vadalog.plans.JoinPlan.execute>` up
-  to row order.
+  consumer (negation, EGDs, externals, ``conjunction_has_image``)
+  works unchanged.
+* :func:`execute_batch` — the executor for the compiled join plans of
+  :mod:`repro.vadalog.plans`.  The whole delta frontier flows through
+  a plan as parallel columns: scan steps are hash joins that expand
+  the batch, assignments/conditions evaluate per row through a
+  zero-copy :class:`_RowView`, negation checks filter rows in place.
 
-**Error masking (fidelity contract).**  The legacy enumerator joins
-*all* positive literals first and only then evaluates assignments and
-conditions (in rule order, stopping at the first failure).  A pushed
-down expression in a plan may therefore raise on a row the legacy
-path would never finish.  When a batched eval step raises for a row,
-the executor decides between two outcomes:
+**Errors in pushed-down expressions.**  A rule body joins *all*
+positive literals and checks negation before it evaluates assignments
+and conditions (in rule order, stopping at the first failure).  A
+pushed-down expression may therefore raise on a row the full body
+would reject.  When an assignment or condition raises for a row, the
+executor looks for a completing join of that row: the remaining
+positive literals, agreeing with every variable the row binds, with
+every negation check passing.
 
-* if the row's scan-bound bindings **cannot** be extended to a
-  complete positive join that passes every negation check, the legacy
-  path would never reach its finish step for this row — the error is
-  *masked*: only that row is dropped, the rest of the batch proceeds,
-  and the engine emits a schema-versioned ``batch_mask`` event;
-* if a completing extension **does** exist, the legacy path would
-  raise the same error (all plan-side-earlier assignments/conditions
-  succeeded for this row and run before it at finish time), so the
-  executor raises :class:`~repro.vadalog.plans.PlanFallback` and the
-  engine re-runs the rule on the legacy path, reproducing the legacy
-  outcome bit for bit.
+* If none exists, the rule body never reaches the expression for this
+  row — the error is *masked*: only that row is dropped, the rest of
+  the batch proceeds, and the engine emits a schema-versioned
+  ``batch_mask`` event;
+* if one exists, the body evaluates the expression on it (every
+  earlier assignment and condition passed on the row's values), so the
+  executor raises the error in place.
 """
 
 from __future__ import annotations
@@ -69,14 +56,7 @@ except Exception:  # pragma: no cover — numpy is in the base image
 from ..telemetry import state as _telemetry
 from .atoms import Fact
 from .expressions import evaluate_to_term
-from .plans import (
-    AssignStep,
-    FilterStep,
-    JoinPlan,
-    NegationStep,
-    PlanFallback,
-    ScanStep,
-)
+from .plans import AssignStep, FilterStep, JoinPlan, NegationStep, ScanStep
 from .rules import Rule
 from .terms import Term, Variable
 from .unification import bound_positions, match_atom
@@ -125,13 +105,14 @@ def _column_nbytes(column) -> int:
 class ColumnarRelation:
     """Dictionary-encoded columnar storage for one predicate.
 
-    Mirrors the semantics of
-    :class:`~repro.vadalog.database._PredicateRelation` exactly —
-    including the semi-naive ``delta``/``pending`` frontier sets and
-    the lazily built frontier index views — while replacing fact-set
-    indices with rowid buckets over int64 code columns.  Retraction
-    (functional aggregates, EGD null unification) tombstones the rowid
-    instead of rewriting columns.
+    ``delta`` is the current semi-naive frontier (facts new as of the
+    previous round); ``pending`` collects facts added during the
+    current round and becomes the next frontier on
+    :meth:`FactStore.advance_delta`.  Frontier probes go through
+    lazily built fact-set views; full-store probes go through rowid
+    buckets over int64 code columns.  Retraction (functional
+    aggregates, EGD null unification) tombstones the rowid instead of
+    rewriting columns.
     """
 
     backend = "columnar"
@@ -144,13 +125,10 @@ class ColumnarRelation:
     )
 
     def __init__(self, arity: int):
-        if arity < 0:
-            raise ValueError("columnar relation needs a known arity")
         self.arity = arity
         self.dictionary = TermDictionary()
-        #: live facts (dedup, membership and full-key probes — the
-        #: same set the dict backend keeps, so ingestion costs the
-        #: same; encoding is deferred, see ``_encode_pending``).
+        #: live facts (dedup, membership and full-key probes; encoding
+        #: is deferred, see ``_encode_pending``).
         self.facts: Set[Fact] = set()
         #: rowid -> Fact (probe results decode through this list).
         self.rows: List[Fact] = []
@@ -167,9 +145,9 @@ class ColumnarRelation:
         ] = {}
         self.delta: Set[Fact] = set()
         self.pending: Set[Fact] = set()
-        # Frontier-scoped views, same shape and lifecycle as the dict
-        # relation's: keyed by positions, cleared whenever the
-        # frontier changes.
+        # Frontier-scoped views keyed by positions, rebuilt lazily
+        # whenever the frontier changes (so at most once per
+        # positions and round).
         self.delta_indices: Dict[
             Tuple[int, ...], Dict[Tuple[Term, ...], Set[Fact]]
         ] = {}
@@ -189,18 +167,6 @@ class ColumnarRelation:
         # memory report surfaces these as real hit/miss counts.
         self.probes = 0
         self.probe_hits = 0
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_dict_relation(cls, relation) -> "ColumnarRelation":
-        """Promote a dict relation, preserving the frontier state."""
-        twin = cls(relation.arity)
-        for fact in relation.facts:
-            twin._append(fact)
-        twin.delta = set(relation.delta)
-        twin.pending = set(relation.pending)
-        return twin
 
     # -- mutation ----------------------------------------------------------
 
@@ -241,8 +207,8 @@ class ColumnarRelation:
         caller's key touches (interning their terms from row zero),
         catch newly appended rows up on every already-active column,
         and keep any built group index and the full-key rowid map
-        incremental.  Ingestion stays as cheap as the dict backend's,
-        and a probe keyed on two positions of a wide relation never
+        incremental.  Ingestion stays a plain set/list insert, and a
+        probe keyed on two positions of a wide relation never
         pays for the other columns; ``all_columns`` (byte accounting)
         and ``with_row_ids`` (retraction, which must tombstone by
         whole row) force the remainder."""
@@ -328,9 +294,6 @@ class ColumnarRelation:
                     pass
         return True
 
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self.facts
-
     # -- lookup ------------------------------------------------------------
 
     def fact_count(self) -> int:
@@ -345,14 +308,8 @@ class ColumnarRelation:
             if rowid not in dead
         )
 
-    def all_facts(self) -> List[Fact]:
-        return list(self.iter_facts())
-
     def contains_fact(self, fact: Fact) -> bool:
         return fact in self.facts
-
-    def snapshot_facts(self) -> Set[Fact]:
-        return set(self.facts)
 
     def clone(self) -> "ColumnarRelation":
         twin = ColumnarRelation(self.arity)
@@ -435,8 +392,7 @@ class ColumnarRelation:
         if telemetry_on:
             _telemetry.registry.counter("store.columnar.probes").inc()
         if len(positions) == self.arity:
-            # Full-key membership needs no encoding — same shortcut
-            # as the dict backend.
+            # Full-key membership needs no encoding.
             candidate = Fact(predicate, key)
             if candidate not in self.facts:
                 return ()
@@ -467,9 +423,8 @@ class ColumnarRelation:
     # -- memory accounting -------------------------------------------------
 
     def column_bytes(self) -> int:
-        """Real bytes held by the code columns (the part a dict
-        backend spends on per-fact index-set entries).  Forces the
-        encode pass so the figure covers every stored row."""
+        """Real bytes held by the code columns.  Forces the encode
+        pass so the figure covers every stored row."""
         self._encode_pending(all_columns=True)
         return sum(_column_nbytes(column) for column in self.columns)
 
@@ -547,19 +502,16 @@ class Batch:
     ``cols`` maps every bound variable to a list of terms (length
     ``n``); ``premises`` — tracked only when provenance or an audit
     listener needs them — holds one fact column per completed scan
-    step, in plan order.  ``scan_vars`` is the set of variables bound
-    by scans so far: the substitution the legacy enumerator would
-    carry at the same point, which drives the error-masking decision.
+    step, in plan order.
     """
 
-    __slots__ = ("n", "cols", "premises", "scan_vars")
+    __slots__ = ("n", "cols", "premises")
 
     def __init__(self, n: int, cols: Dict[Variable, list],
                  premises: Optional[List[list]]):
         self.n = n
         self.cols = cols
         self.premises = premises
-        self.scan_vars: Set[Variable] = set()
 
     @classmethod
     def unit(cls, track_premises: bool) -> "Batch":
@@ -580,15 +532,12 @@ class Batch:
             premises = [
                 [col[i] for i in keep] for col in self.premises
             ]
-        shrunk = Batch(len(keep), cols, premises)
-        shrunk.scan_vars = self.scan_vars
-        return shrunk
+        return Batch(len(keep), cols, premises)
 
 
 class MaskRecord:
     """One masked batch step: how many rows an eval step dropped
-    because the raising expression could never reach the legacy
-    finish step."""
+    because the raising expression lies on no complete body match."""
 
     __slots__ = ("op", "detail", "error", "rows")
 
@@ -599,20 +548,24 @@ class MaskRecord:
         self.rows = rows
 
 
-def _legacy_reaches_finish(
-    rule: Rule, store, scan_bound: Dict[Variable, Term]
-) -> bool:
-    """Would the legacy enumerator reach its finish step for a binding
-    extending ``scan_bound``?  True iff the positive body joins to
-    completion and every negation check passes — the decision between
-    masking a row and falling back to the legacy path."""
+def _row_completes(rule: Rule, store, batch: Batch, i: int) -> bool:
+    """Does batch row ``i`` extend to a complete body match?  True iff
+    the positive body joins to completion, agreeing with every variable
+    the row binds (scan outputs and assignment targets alike), and
+    every negation check passes — the decision between masking a
+    raising row and raising its error."""
     positives = [
         lit for lit in rule.body
         if not lit.negated and not lit.atom.is_external
     ]
     negatives = [lit for lit in rule.body if lit.negated]
+    positive_vars = {v for lit in positives for v in lit.variables()}
 
     def negation_ok(substitution: Dict[Variable, Term]) -> bool:
+        # Negation sees the positive join only, as in the rule body.
+        substitution = {
+            v: t for v, t in substitution.items() if v in positive_vars
+        }
         for literal in negatives:
             atom = literal.atom
             grounded = atom.substitute(substitution)
@@ -641,12 +594,9 @@ def _legacy_reaches_finish(
                 return True
         return False
 
-    return extend(positives, dict(scan_bound))
-
-
-def _scan_bound_row(batch: Batch, i: int) -> Dict[Variable, Term]:
-    cols = batch.cols
-    return {var: cols[var][i] for var in batch.scan_vars}
+    return extend(
+        positives, {var: col[i] for var, col in batch.cols.items()}
+    )
 
 
 def _expand_scan(
@@ -731,11 +681,7 @@ def _expand_scan(
             [col[i] for i in source_rows] for col in batch.premises
         ]
         premises.append(matched)
-    expanded = Batch(len(matched), cols, premises)
-    expanded.scan_vars = batch.scan_vars | {
-        variable for _, variable in step.outputs
-    } | {variable for _, variable in step.key_vars}
-    return expanded
+    return Batch(len(matched), cols, premises)
 
 
 def _apply_assign(
@@ -756,20 +702,14 @@ def _apply_assign(
         try:
             value = evaluate_to_term(expression, view)
         except Exception as exc:  # noqa: BLE001 — masking decision
-            if _legacy_reaches_finish(
-                rule, store, _scan_bound_row(batch, i)
-            ):
-                raise PlanFallback(
-                    f"assignment to {target.name} raised "
-                    f"{type(exc).__name__}"
-                ) from exc
+            if _row_completes(rule, store, batch, i):
+                raise
             masked += 1
             if not first_error:
                 first_error = type(exc).__name__
             continue
         if bound_col is not None:
-            # Bound target degrades to an equality filter, exactly
-            # like AssignStep / the legacy finish step.
+            # A bound target degrades to an equality filter.
             if bound_col[i] == value:
                 keep.append(i)
         else:
@@ -803,12 +743,8 @@ def _apply_filter(
         try:
             ok = condition.holds(view)
         except Exception as exc:  # noqa: BLE001 — masking decision
-            if _legacy_reaches_finish(
-                rule, store, _scan_bound_row(batch, i)
-            ):
-                raise PlanFallback(
-                    f"condition raised {type(exc).__name__}"
-                ) from exc
+            if _row_completes(rule, store, batch, i):
+                raise
             masked += 1
             if not first_error:
                 first_error = type(exc).__name__
@@ -875,18 +811,15 @@ def execute_batch(
 
     Returns the final batch — one row per complete body match, columns
     for every bound variable (scan outputs plus assignment targets).
-    Matches :meth:`JoinPlan.execute` row for row (modulo order); raises
-    :class:`PlanFallback` exactly when the tuple-at-a-time path would
-    (see the module docstring for the masking decision).  When
-    ``analysis`` is given (EXPLAIN ANALYZE), per-step actuals are
-    recorded batch-wise: ``invocations`` counts rows entering the
-    step, ``rows_out`` rows leaving it.
+    An expression error surfaces or is masked per the module
+    docstring.  When ``analysis`` is given (EXPLAIN ANALYZE), per-step
+    actuals are recorded batch-wise: ``invocations`` counts rows
+    entering the step, ``rows_out`` rows leaving it.
     """
     batch = Batch.unit(track_premises)
-    steps = plan.steps
     if analysis is not None:
         analysis.executions += 1
-    for index, step in enumerate(steps):
+    for index, step in enumerate(plan.steps):
         stats = None
         started = 0
         if analysis is not None:
@@ -899,13 +832,8 @@ def execute_batch(
             batch = _apply_assign(step, rule, store, batch, masks)
         elif type(step) is FilterStep:
             batch = _apply_filter(step, rule, store, batch, masks)
-        elif type(step) is NegationStep:
+        else:
             batch = _apply_negation(step, store, batch, stats)
-        else:  # pragma: no cover — future step kinds
-            raise PlanFallback(
-                f"batched execution does not support "
-                f"{type(step).__name__}"
-            )
         if analysis is not None:
             stats.wall_ns += perf_counter_ns() - started
             stats.rows_out += batch.n

@@ -1,18 +1,11 @@
 """Compiled join plans: the chase engine's query-plan layer.
 
-The legacy enumerator (:meth:`ChaseEngine._extend_binding`) re-derives
-its join order *per partial binding* — every extension step scans the
-remaining literals, counts bound positions against the current
-substitution and sizes relations, then recurses.  That work is
-identical across the thousands of bindings a round enumerates, so this
-module hoists it to rule-compilation time, the way the Vadalog system
-compiles rules into reusable execution pipelines instead of
-interpreting them tuple by tuple.
-
-For every rule the compiler produces one :class:`JoinPlan` per
-semi-naive delta literal plus a first-round plan.  A plan is a flat
-sequence of steps executed by an iterative matcher (no recursion, one
-shared mutable substitution):
+Every rule is compiled once into reusable execution pipelines, the way
+the Vadalog system compiles rules instead of interpreting them tuple by
+tuple: one :class:`JoinPlan` per semi-naive delta literal plus a
+first-round plan.  A plan is a flat sequence of steps, which
+:func:`repro.vadalog.columnar.execute_batch` runs over whole batches of
+partial bindings:
 
 * :class:`ScanStep` — probe one positive literal through a composite
   (multi-position) index; the probe layout (which positions form the
@@ -26,76 +19,40 @@ shared mutable substitution):
   product filtered afterwards into a single hash probe.
 * :class:`NegationStep` — a stratified negation check, scheduled once
   every positively-bindable variable of the negated atom is bound.
-  Its layout deliberately ignores assignment-bound variables so the
-  check matches the legacy enumerator's semantics exactly (the legacy
-  path checks negation before assignments run).
+  Its layout deliberately ignores assignment-bound variables: a rule
+  body checks negation over its positive join, before assignments run.
 
 Literal order is fixed up front by a greedy bound-position /
 shared-variable / arity heuristic; the delta literal always leads.
 
-**Fidelity contract.** Planned evaluation must be indistinguishable
-from the legacy enumerator (it is differentially tested against it in
-CI).  Pushed-down expressions are the one place the paths could
-diverge: a pushed expression may raise on a partial binding that the
-legacy path would never fully join.  Steps therefore raise
-:class:`PlanFallback` instead of letting the error escape, and the
-engine re-enumerates that rule with the legacy path — reproducing the
-legacy outcome bit for bit, error or not.
+**Rule semantics.** A body match is a complete positive join that
+passes every negation check; assignments then run in rule order, then
+conditions in rule order, stopping at the first failure.  The naive
+oracle (:mod:`repro.vadalog.reference`) evaluates exactly that.  Plans
+keep assignments and conditions in rule order, so the one place they
+can differ is a pushed-down expression that raises on a partial
+binding the full join would reject; the batch executor decides those
+rows (see :mod:`repro.vadalog.columnar`).  A rule with an assignment
+that reads variables only an external binds is rejected at
+compilation with an :class:`~repro.errors.EvaluationError`.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, \
-    Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..telemetry.inspect import PlanAnalysis, StepStats
-from .atoms import Assignment, Atom, Condition, Fact, Literal
-from .database import FactStore
-from .expressions import evaluate_to_term
+from ..errors import EvaluationError
+from .atoms import Assignment, Atom, Condition, Literal
 from .rules import Rule
-from .terms import Term, Variable
-from .unification import Substitution, probe_layout
-
-
-class PlanFallback(Exception):
-    """A compiled step cannot decide the current partial binding (a
-    pushed-down expression raised).  The engine catches this and
-    re-enumerates the rule with the legacy recursive path, which
-    reproduces the legacy semantics exactly — including whether the
-    original error surfaces at all."""
-
-
-_SENTINEL = object()
-
-
-def _timed(iterator: Iterator[bool], stats: StepStats) -> Iterator[bool]:
-    """Wrap a step iterator with per-step actuals: one invocation per
-    upstream row, one row_out per yield, wall time charged to the time
-    spent *inside* this iterator (downstream steps excluded).  Uses the
-    two-argument ``next`` so a :class:`PlanFallback` raised by the step
-    propagates unchanged."""
-    stats.invocations += 1
-    while True:
-        start = perf_counter_ns()
-        item = next(iterator, _SENTINEL)
-        stats.wall_ns += perf_counter_ns() - start
-        if item is _SENTINEL:
-            return
-        stats.rows_out += 1
-        yield item
+from .terms import Variable
+from .unification import probe_layout
 
 
 class _Step:
-    """One plan step: ``iterate`` yields once per way of extending the
-    shared substitution, restoring its bindings between yields."""
+    """One plan step; :func:`repro.vadalog.columnar.execute_batch` runs
+    it over a whole batch of partial bindings."""
 
     __slots__ = ()
-
-    def iterate(self, store: FactStore, subst: Substitution,
-                premises: List[Fact],
-                stats: Optional[StepStats] = None) -> Iterator[bool]:
-        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -136,40 +93,6 @@ class ScanStep(_Step):
         self.outputs = outputs
         self.repeats = repeats
 
-    def iterate(self, store, subst, premises, stats=None):
-        if self.key_vars:
-            key = list(self.key_consts)
-            for slot, variable in self.key_vars:
-                key[slot] = subst[variable]
-            key = tuple(key)
-        else:
-            key = self.key_consts
-        outputs = self.outputs
-        repeats = self.repeats
-        facts = store.probe(
-            self.predicate, self.key_positions, key, self.delta_only
-        )
-        if stats is not None:
-            stats.probe_calls += 1
-            if facts:
-                stats.probe_hits += 1
-                stats.rows_scanned += len(facts)
-        for fact in facts:
-            terms = fact.terms
-            for position, variable in outputs:
-                subst[variable] = terms[position]
-            ok = True
-            for position, variable in repeats:
-                if terms[position] != subst[variable]:
-                    ok = False
-                    break
-            if ok:
-                premises.append(fact)
-                yield True
-                premises.pop()
-            for _, variable in outputs:
-                del subst[variable]
-
     def describe(self) -> str:
         tag = "delta-scan" if self.delta_only else "scan"
         if self.key_positions:
@@ -191,32 +114,12 @@ class ScanStep(_Step):
 
 class AssignStep(_Step):
     """Evaluate an assignment as soon as its inputs are bound.  A
-    bound target degrades to an equality filter, exactly like the
-    legacy finish step."""
+    bound target degrades to an equality filter."""
 
     __slots__ = ("assignment",)
 
     def __init__(self, assignment: Assignment):
         self.assignment = assignment
-
-    def iterate(self, store, subst, premises, stats=None):
-        assignment = self.assignment
-        try:
-            value = evaluate_to_term(assignment.expression, subst)
-        except Exception as exc:  # noqa: BLE001 — see PlanFallback
-            raise PlanFallback(
-                f"assignment to {assignment.target.name} raised "
-                f"{type(exc).__name__}"
-            ) from exc
-        target = assignment.target
-        bound = subst.get(target)
-        if bound is not None:
-            if bound == value:
-                yield True
-            return
-        subst[target] = value
-        yield True
-        del subst[target]
 
     def describe(self) -> str:
         return f"assign {self.assignment.target.name} = " \
@@ -238,16 +141,6 @@ class FilterStep(_Step):
     def __init__(self, condition: Condition):
         self.condition = condition
 
-    def iterate(self, store, subst, premises, stats=None):
-        try:
-            ok = self.condition.holds(subst)
-        except Exception as exc:  # noqa: BLE001 — see PlanFallback
-            raise PlanFallback(
-                f"condition raised {type(exc).__name__}"
-            ) from exc
-        if ok:
-            yield True
-
     def describe(self) -> str:
         return f"filter {self.condition.expression!r}"
 
@@ -259,10 +152,10 @@ class NegationStep(_Step):
     """Negation-as-failure over the saturated lower strata.
 
     The probe layout treats only *positively* bindable variables as
-    bound — matching the legacy enumerator, which checks negation
-    before assignments run — so scheduling the check earlier than the
-    legacy path cannot change its outcome (the store is stable during
-    enumeration and the check depends only on its own key values).
+    bound — negation is checked over the positive join, before
+    assignments run — so scheduling the check early cannot change its
+    outcome (the store is stable during enumeration and the check
+    depends only on its own key values).
     """
 
     __slots__ = ("atom", "predicate", "key_positions", "key_consts",
@@ -289,23 +182,6 @@ class NegationStep(_Step):
             if isinstance(source, Variable)
         )
 
-    def iterate(self, store, subst, premises, stats=None):
-        if self.key_vars:
-            key = list(self.key_consts)
-            for slot, variable in self.key_vars:
-                key[slot] = subst[variable]
-            key = tuple(key)
-        else:
-            key = self.key_consts
-        facts = store.probe(self.predicate, self.key_positions, key)
-        if stats is not None:
-            stats.probe_calls += 1
-            if facts:
-                stats.probe_hits += 1
-                stats.rows_scanned += len(facts)
-        if not facts:
-            yield True
-
     def describe(self) -> str:
         keys = ",".join(str(p) for p in self.key_positions)
         return f"negation-check not {self.atom} [key positions {keys}]"
@@ -320,84 +196,15 @@ class NegationStep(_Step):
 
 
 class JoinPlan:
-    """A fixed step sequence for one (rule, delta literal) pair,
-    executed by a flat iterative matcher."""
+    """A fixed step sequence for one (rule, delta literal) pair."""
 
-    __slots__ = ("rule", "steps", "delta_index", "has_eval_steps")
+    __slots__ = ("rule", "steps", "delta_index")
 
     def __init__(self, rule: Rule, steps: Sequence[_Step],
                  delta_index: Optional[int]):
         self.rule = rule
         self.steps = tuple(steps)
         self.delta_index = delta_index
-        self.has_eval_steps = any(
-            isinstance(step, (AssignStep, FilterStep))
-            for step in self.steps
-        )
-
-    def execute(
-        self, store: FactStore
-    ) -> Iterator[Tuple[Substitution, List[Fact]]]:
-        """Yield ``(substitution, premises)`` per complete match.  The
-        yielded objects are fresh copies; internal state is a single
-        mutable substitution un/re-wound by the step iterators."""
-        steps = self.steps
-        n = len(steps)
-        subst: Substitution = {}
-        premises: List[Fact] = []
-        if n == 0:
-            yield {}, []
-            return
-        stack: List[Iterator[bool]] = [
-            steps[0].iterate(store, subst, premises)
-        ]
-        while stack:
-            if next(stack[-1], None) is None:
-                stack.pop()
-                continue
-            depth = len(stack)
-            if depth == n:
-                yield dict(subst), list(premises)
-            else:
-                stack.append(steps[depth].iterate(store, subst, premises))
-
-    def execute_analyzed(
-        self, store: FactStore, analysis: PlanAnalysis
-    ) -> Iterator[Tuple[Substitution, List[Fact]]]:
-        """:meth:`execute` with per-step actuals folded into
-        ``analysis`` — the opt-in ANALYZE path.  Step iterators are
-        wrapped in a timing shim, and scan/negation steps count their
-        own index probes; the matcher itself is unchanged, so planned
-        semantics (including :class:`PlanFallback`) are identical."""
-        steps = self.steps
-        n = len(steps)
-        analysis.executions += 1
-        subst: Substitution = {}
-        premises: List[Fact] = []
-        if n == 0:
-            analysis.matches += 1
-            yield {}, []
-            return
-        step_stats = analysis.steps
-
-        def open_step(depth: int) -> Iterator[bool]:
-            stats = step_stats[depth]
-            return _timed(
-                steps[depth].iterate(store, subst, premises, stats),
-                stats,
-            )
-
-        stack: List[Iterator[bool]] = [open_step(0)]
-        while stack:
-            if next(stack[-1], None) is None:
-                stack.pop()
-                continue
-            depth = len(stack)
-            if depth == n:
-                analysis.matches += 1
-                yield dict(subst), list(premises)
-            else:
-                stack.append(open_step(depth))
 
     def describe(self) -> List[str]:
         return [step.describe() for step in self.steps]
@@ -408,41 +215,34 @@ class JoinPlan:
 
 class RulePlans:
     """All compiled plans for one rule: a first-round plan plus one
-    delta plan per positive body literal."""
+    delta plan per positive body literal, and the rule facts the engine
+    reads per application."""
 
     __slots__ = (
-        "rule", "first_round", "delta_plans", "has_positives",
-        "streamable", "unplannable", "reason",
+        "rule", "first_round", "delta_plans", "has_positives", "binds",
+        "deferred",
     )
 
     def __init__(self, rule, first_round, delta_plans, has_positives,
-                 streamable, unplannable=False, reason=""):
+                 binds, deferred):
         self.rule = rule
         self.first_round = first_round
         #: ``(literal_index, predicate, plan)`` triples.
         self.delta_plans = delta_plans
         self.has_positives = has_positives
-        #: True when bindings may fire as they are found: the rule's
-        #: firings cannot feed its own enumeration (no externals, head
-        #: disjoint from the positive body) and no pushed-down
-        #: expression can trigger a mid-stream legacy fallback.
-        self.streamable = streamable
-        self.unplannable = unplannable
-        self.reason = reason
+        #: Every variable a plan binds (non-anonymous positive-body
+        #: variables plus assignment targets) in name order: the column
+        #: order of binding dedup keys.
+        self.binds = binds
+        #: Conditions checked after external expansion.
+        self.deferred = deferred
 
     def describe(self) -> Dict[str, List[str]]:
-        if self.unplannable:
-            return {"unplannable": [self.reason]}
-        dump = {"first-round": self.first_round.describe()}
-        for index, predicate, plan in self.delta_plans:
-            dump[f"delta[{index}:{predicate}]"] = plan.describe()
-        return dump
+        return {name: plan.describe() for name, plan in self.named_plans()}
 
     def named_plans(self) -> List[Tuple[str, "JoinPlan"]]:
         """``(name, plan)`` pairs in execution order (first-round plan
         first) — the iteration order every explain consumer shares."""
-        if self.unplannable:
-            return []
         named = [("first-round", self.first_round)]
         for index, predicate, plan in self.delta_plans:
             named.append((f"delta[{index}:{predicate}]", plan))
@@ -450,25 +250,17 @@ class RulePlans:
 
     def explain(self) -> Dict[str, Any]:
         """Structured, JSON-serialisable description of every plan."""
-        doc: Dict[str, Any] = {
-            "unplannable": self.unplannable,
-            "streamable": self.streamable,
+        return {
+            "plans": [
+                {"name": name, "steps": plan.explain()}
+                for name, plan in self.named_plans()
+            ]
         }
-        if self.unplannable:
-            doc["reason"] = self.reason
-            doc["plans"] = []
-            return doc
-        doc["plans"] = [
-            {"name": name, "steps": plan.explain()}
-            for name, plan in self.named_plans()
-        ]
-        return doc
 
 
 def deferred_conditions(rule: Rule) -> List[Condition]:
     """Conditions mentioning variables bound only by externals — they
-    run after external expansion, never inside a plan.  Mirrors the
-    engine's legacy ``_deferred_conditions``."""
+    run after external expansion, never inside a plan."""
     regular_vars: Set[Variable] = set()
     for lit in rule.body:
         if not lit.atom.is_external:
@@ -519,13 +311,13 @@ def _build_plan(
         """Schedule whatever just became evaluable.
 
         Ordering here is a fidelity constraint, not a style choice.
-        The legacy finish step evaluates assignments in rule order,
-        then conditions in rule order, stopping at the first failure —
-        so a later expression's error is *suppressed* by an earlier
-        failure.  To keep the planned path's error behaviour
-        bit-identical we only ever pop assignments and conditions from
-        the front of their queues (rule order), and a condition may
-        not run before the assignment queue has drained.  Negation
+        A rule evaluates assignments in rule order, then conditions in
+        rule order, stopping at the first failure — so a later
+        expression's error is *suppressed* by an earlier failure.  To
+        keep that error behaviour we only ever pop assignments and
+        conditions from the front of their queues (rule order), and a
+        condition may not run before the assignment queue has
+        drained.  Negation
         checks are pure store probes over positively-bound variables:
         they cannot raise and their outcome is fixed by their key
         values, so they schedule freely.
@@ -618,17 +410,15 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
             v for v in literal.variables() if not v.is_anonymous
         )
 
-    # Assignments that read external-only variables make the legacy
-    # path raise at finish time for every completed binding; keep that
-    # behaviour by routing the whole rule through the legacy path.
+    # An assignment must read only variables that regular atoms or
+    # earlier assignments bind; externals run after the plan.
     available = set(positive_vars)
     for assignment in rule.assignments:
         if any(v not in available for v in assignment.input_variables()):
-            return RulePlans(
-                rule, None, [], bool(positives), streamable=False,
-                unplannable=True,
-                reason=f"assignment to {assignment.target.name} reads "
-                       "variables not bound by regular atoms",
+            raise EvaluationError(
+                f"assignment to {assignment.target.name} in rule "
+                f"{rule.label or rule} depends on external-only "
+                "variables; bind them with regular atoms instead"
             )
         available.add(assignment.target)
 
@@ -638,27 +428,14 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
             plan_conditions, positive_vars, delta_index,
         )
 
-    first_round = build(None)
-    delta_plans = [
-        (index, literal.atom.predicate, build(index))
-        for index, literal in enumerate(positives)
-    ]
-
-    has_externals = any(lit.atom.is_external for lit in rule.body)
-    # Streaming fires bindings while enumeration is still probing the
-    # store, so any head predicate the body reads — positively OR under
-    # negation — would let this round's own firings leak into this
-    # round's matches.  The legacy path enumerates fully before firing.
-    body_predicates = {
-        lit.atom.predicate for lit in rule.body
-        if not lit.atom.is_external
-    }
-    recursive = bool(rule.head_predicates() & body_predicates)
-    has_eval = first_round.has_eval_steps or any(
-        plan.has_eval_steps for _, _, plan in delta_plans
-    )
-    streamable = not has_externals and not recursive and not has_eval
     return RulePlans(
-        rule, first_round, delta_plans,
-        has_positives=bool(positives), streamable=streamable,
+        rule,
+        build(None),
+        [
+            (index, literal.atom.predicate, build(index))
+            for index, literal in enumerate(positives)
+        ],
+        has_positives=bool(positives),
+        binds=sorted(available, key=lambda v: v.name),
+        deferred=deferred_conditions(rule),
     )

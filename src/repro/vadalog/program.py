@@ -157,10 +157,7 @@ class Program:
         termination: str = "restricted",
         listener=None,
         preflight: bool = True,
-        use_plans: Optional[bool] = None,
         analyze: bool = False,
-        use_columnar: Optional[bool] = None,
-        columnar_threshold: Optional[int] = None,
     ) -> ChaseResult:
         """Evaluate the program over its inline facts plus ``facts``.
 
@@ -175,32 +172,14 @@ class Program:
         :class:`~repro.errors.StaticAnalysisError` instead of a
         chase-time crash or a silently wrong answer.
 
-        ``use_plans`` selects the evaluation path: compiled join plans
-        (default) or the legacy recursive enumerator (``False``); the
-        ``CHASE_LEGACY_ENUMERATION=1`` environment variable flips the
-        default, see ``docs/engine-internals.md``.
-
         ``analyze=True`` runs EXPLAIN ANALYZE: per-step actuals (rows
         in/out, probe hits, wall time) are collected and surface as
         ``result.explain_report`` / ``result.stats["explain"]`` — see
         ``docs/observability.md``.
-
-        ``use_columnar`` toggles the columnar store backend and the
-        batched plan executor (default from ``CHASE_COLUMNAR``, on);
-        ``columnar_threshold`` overrides the per-predicate cardinality
-        at which relations switch to column storage.
         """
         if preflight:
             self.preflight()
-        from .database import columnar_default_enabled
-
-        if use_columnar is None:
-            use_columnar = columnar_default_enabled()
-        store = FactStore(
-            self.facts,
-            columnar=use_columnar,
-            columnar_threshold=columnar_threshold,
-        )
+        store = FactStore(self.facts)
         store.add_all(facts)
         engine = ChaseEngine(
             self.rules,
@@ -214,10 +193,7 @@ class Program:
             max_facts=max_facts,
             termination=termination,
             listener=listener,
-            use_plans=use_plans,
             analyze=analyze,
-            use_columnar=use_columnar,
-            columnar_threshold=columnar_threshold,
         )
         return engine.run(store)
 

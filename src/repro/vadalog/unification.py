@@ -12,11 +12,16 @@ The chase needs two operations:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, \
+    Tuple
 
 from .atoms import Atom, Fact
-from .database import FactStore
 from .terms import LabelledNull, Term, Variable
+
+if TYPE_CHECKING:
+    # Annotations only: the store imports the batch executor, which
+    # imports this module.
+    from .database import FactStore
 
 #: A substitution maps variables to ground terms.
 Substitution = Dict[Variable, Term]

@@ -289,3 +289,34 @@ class TestComparison:
             "engine_fig7e", "engine_fig7f",
         }
         assert all(callable(w) for w in regress.WORKLOADS.values())
+
+    @pytest.mark.parametrize("tag", ["engine_fig7e", "engine_fig7f"])
+    def test_engine_workloads_keep_one_gated_lane(
+        self, regress, monkeypatch, tmp_path, capsys, tag
+    ):
+        # One lane at engine defaults, under the metric name the
+        # committed history gates; retired lanes in the history are
+        # not compared.
+        import paperfig
+
+        calls = []
+        monkeypatch.setattr(
+            paperfig, "engine_kanon_seconds",
+            lambda code: calls.append(code) or 1.0,
+        )
+        assert regress.WORKLOADS[tag]() == {"columnar_seconds": 1.0}
+        assert len(calls) == 3  # best of three
+        history_path = tmp_path / "history.json"
+        from bench_tracker import record_history_entry
+
+        record_history_entry(tag, {
+            "columnar_seconds": 1.0, "planned_seconds": 1.0,
+            "legacy_seconds": 9.0,
+        }, path=history_path)
+        code = regress.main(["check", "--history", str(history_path),
+                             "--workloads", tag])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"{tag}/columnar_seconds" in out
+        assert "planned_seconds" not in out
+        assert "legacy_seconds" not in out

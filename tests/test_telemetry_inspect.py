@@ -74,16 +74,13 @@ class TestRenderExplain:
         return {
             "version": 1,
             "analyze": analyze,
-            "rules": [{
-                "rule": "hop", "stratum": 0, "unplannable": False,
-                "streamable": True, "plans": [plan],
-            }],
+            "rules": [{"rule": "hop", "stratum": 0, "plans": [plan]}],
         }
 
     def test_static_render(self):
         text = render_explain(self.doc())
         assert text.startswith("EXPLAIN: 1 rule(s)")
-        assert "rule hop  [stratum 0, streamable]" in text
+        assert "rule hop  [stratum 0]" in text
         assert "1. scan e(X, Y)" in text
         assert "execution" not in text
 
@@ -95,14 +92,6 @@ class TestRenderExplain:
         assert "probes=1/1 (100% hit)" in text
         assert "1.5us" in text
 
-    def test_unplannable_rule_rendered_with_reason(self):
-        doc = {"analyze": False, "rules": [{
-            "rule": "bad", "unplannable": True,
-            "reason": "reads external-only variables",
-        }]}
-        text = render_explain(doc)
-        assert "rule bad: UNPLANNABLE — reads external-only" in text
-
     def test_empty_program(self):
         text = render_explain({"analyze": False, "rules": []})
         assert "0 rule(s)" in text
@@ -110,7 +99,7 @@ class TestRenderExplain:
 
     def test_empty_plan_marked_unconditional(self):
         doc = {"analyze": False, "rules": [{
-            "rule": "r", "unplannable": False,
+            "rule": "r",
             "plans": [{"name": "first-round", "steps": []}],
         }]}
         assert "fires unconditionally" in render_explain(doc)

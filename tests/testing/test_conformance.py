@@ -92,6 +92,29 @@ class TestRunOne:
             assert not ConformanceOutcome(status).is_disagreement
         assert ConformanceOutcome("disagree").is_disagreement
 
+    def test_engine_vs_oracle_disagreement_is_caught(self):
+        # Sabotage the engine run to prove run_one actually compares
+        # the engine against the oracle.
+        from repro.testing import conformance as mod
+        from repro.vadalog.atoms import Atom
+
+        program = generate_program(random.Random(9), GeneratorConfig())
+        real = mod._run_engine
+
+        def crooked(*args, **kwargs):
+            run = real(*args, **kwargs)
+            if run.kind == "ok":
+                run.facts = run.facts | {Atom.of("smuggled", 1)}
+            return run
+
+        mod._run_engine = crooked
+        try:
+            outcome = run_one(program)
+        finally:
+            mod._run_engine = real
+        assert outcome.is_disagreement
+        assert "engine" in outcome.detail
+
 
 class TestMinimization:
     def test_minimize_keeps_failure_and_shrinks(self):
@@ -172,8 +195,7 @@ class TestArtifacts:
         path = write_artifact(
             str(tmp_path), 78001, 78000, config, expected, program,
             minimized=None, max_rounds=400, max_facts=4000,
-            termination="restricted", engine_variant="planned",
-            backend="dict",
+            termination="restricted",
         )
         payload = json.loads(open(path).read())
         assert "parallelism" not in payload
@@ -185,6 +207,28 @@ class TestArtifacts:
         assert replayed.detail == expected.detail
         assert replayed.flow_checked == expected.flow_checked
 
+    def test_replay_ignores_stale_engine_variant_key(self, tmp_path):
+        # Artifacts written while the engine had switchable paths carry
+        # "engine_variant" and "backend" keys; replay ignores them.
+        config = GeneratorConfig()
+        program = generate_program(random.Random(77001), config)
+        expected = run_one(program)
+        path = write_artifact(
+            str(tmp_path), 77001, 77000, config, expected, program,
+            minimized=None, max_rounds=400, max_facts=4000,
+            termination="restricted",
+        )
+        payload = json.loads(open(path).read())
+        assert "engine_variant" not in payload
+        assert "backend" not in payload
+        payload["engine_variant"] = "both"
+        payload["backend"] = "dict"
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        replayed = replay_artifact(path)
+        assert replayed.status == expected.status
+        assert replayed.detail == expected.detail
+
 
 def test_program_roundtrips_through_renderer():
     # The artifact format embeds rendered source; parsing it back must
@@ -194,71 +238,6 @@ def test_program_roundtrips_through_renderer():
         program = generate_program(random.Random(seed), config)
         reparsed = Program.parse(program.to_source())
         assert run_one(reparsed).status == run_one(program).status
-
-
-class TestEngineVariant:
-    """The engine_variant knob: planned, legacy, and three-way."""
-
-    def test_unknown_variant_rejected(self):
-        program = generate_program(random.Random(5), GeneratorConfig())
-        try:
-            run_one(program, engine_variant="quantum")
-        except ValueError as exc:
-            assert "quantum" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("expected ValueError")
-
-    def test_legacy_variant_agrees_with_oracle(self):
-        report = run_conformance(
-            base_seed=77100, examples=15, engine_variant="legacy"
-        )
-        assert report.disagreements == []
-
-    def test_both_variant_three_way_agreement(self):
-        report = run_conformance(
-            base_seed=77200, examples=15, engine_variant="both"
-        )
-        assert report.disagreements == []
-
-    def test_artifact_records_engine_variant(self, tmp_path):
-        config = GeneratorConfig()
-        program = generate_program(random.Random(77001), config)
-        outcome = run_one(program, engine_variant="both")
-        outcome.seed = 77001
-        path = write_artifact(
-            str(tmp_path), 77001, 77000, config, outcome, program,
-            minimized=None, max_rounds=400, max_facts=4000,
-            termination="restricted", engine_variant="both",
-        )
-        payload = json.loads(open(path).read())
-        assert payload["engine_variant"] == "both"
-        replayed = replay_artifact(path)
-        assert replayed.status == outcome.status
-
-    def test_planned_vs_legacy_disagreement_is_caught(self):
-        # Sabotage the planned path via a monkeypatched engine run to
-        # prove the 'both' variant actually compares the two paths.
-        from repro.testing import conformance as mod
-        from repro.vadalog.atoms import Atom
-
-        program = generate_program(random.Random(9), GeneratorConfig())
-        real = mod._run_engine
-
-        def crooked(prog, max_rounds, max_facts, termination,
-                    use_plans=True, backend="dict", **kwargs):
-            run = real(prog, max_rounds, max_facts, termination,
-                       use_plans=use_plans, backend=backend, **kwargs)
-            if use_plans and run.kind == "ok":
-                run.facts = run.facts | {Atom.of("smuggled", 1)}
-            return run
-
-        mod._run_engine = crooked
-        try:
-            outcome = run_one(program, engine_variant="both")
-        finally:
-            mod._run_engine = real
-        assert outcome.is_disagreement
-        assert "planned" in outcome.detail
 
 
 class TestSmokeScript:
@@ -286,7 +265,7 @@ class TestSmokeScript:
 
         monkeypatch.setattr(smoke, "run_conformance", no_run)
         monkeypatch.setattr(
-            sys, "argv", [str(script), "500", "both", "both", "both"]
+            sys, "argv", [str(script), "500", "both"]
         )
         assert smoke.main() == 2
         assert smoke.USAGE in capsys.readouterr().err

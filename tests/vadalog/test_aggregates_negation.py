@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.errors import (
     EGDViolationError,
     EvaluationError,
@@ -84,7 +85,8 @@ class TestAggregateState:
 class TestFunctionalAggregateOwnership:
     """A group replaces only the facts it added: an emission that finds
     its fact already in the store (here an input fact) neither claims
-    it nor retracts it later, on every evaluation path."""
+    it nor retracts it later, whether the group fires in bulk or
+    binding by binding."""
 
     SOURCE = (
         'p("a", 1). p("a", 2). p("a", 3). cnt("a", 1).\n'
@@ -92,14 +94,16 @@ class TestFunctionalAggregateOwnership:
     )
     EXPECTED = {Atom.of("cnt", "a", 1), Atom.of("cnt", "a", 3)}
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("traced", [True, False])
     @pytest.mark.parametrize("provenance", [True, False])
-    def test_engine_keeps_input_fact(self, provenance, columnar):
-        result = Program.parse(self.SOURCE).run(
-            provenance=provenance,
-            use_columnar=columnar,
-            columnar_threshold=1 if columnar else None,
-        )
+    def test_engine_keeps_input_fact(self, provenance, traced):
+        if traced:
+            telemetry.enable()
+        try:
+            result = Program.parse(self.SOURCE).run(provenance=provenance)
+        finally:
+            telemetry.disable()
+            telemetry.reset()
         assert set(result.facts("cnt")) == self.EXPECTED
 
     def test_oracle_keeps_input_fact(self):
@@ -121,12 +125,15 @@ class TestSupersededPremises:
         "best(G, C), edge(C, D) -> val(G, D).\n"
     )
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_replaced_group_fact_still_explained(self, columnar):
-        result = Program.parse(self.SOURCE).run(
-            use_columnar=columnar,
-            columnar_threshold=1 if columnar else None,
-        )
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_replaced_group_fact_still_explained(self, traced):
+        if traced:
+            telemetry.enable()
+        try:
+            result = Program.parse(self.SOURCE).run()
+        finally:
+            telemetry.disable()
+            telemetry.reset()
         assert set(result.facts("best")) == {Atom.of("best", "g", 4)}
         superseded = Atom.of("best", "g", 1)
         assert not result.store.contains(superseded)

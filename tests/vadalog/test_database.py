@@ -228,10 +228,12 @@ class TestCompositeIndices:
             store.probe("t", (0, 1), key)
             store.probe("t", (0, 1), key, delta_only=True)
             counters = telemetry.registry().counters("store.")
-            assert counters.get("store.composite_index_builds") == 1
+            assert counters.get("store.columnar.group_index_builds") == 1
             assert counters.get("store.delta_index_builds") == 1
-            assert counters.get("store.composite_probes") == 3
-            assert counters.get("store.composite_probe_hits") == 3
+            # Frontier probes go through the delta view, not the
+            # group index, and are not counted as index probes.
+            assert counters.get("store.columnar.probes") == 2
+            assert counters.get("store.columnar.probe_hits") == 2
         finally:
             telemetry.disable()
             telemetry.reset()

@@ -192,12 +192,15 @@ class TestQueryAnswering:
 
 
 # ---------------------------------------------------------------------------
-# Differential: compiled join plans vs the legacy recursive enumerator.
+# Differential: telemetry on vs off.
 
 
-class TestPlannedVsLegacy:
-    """The compiled-plan path must be observationally identical to the
-    legacy enumerator it replaced.  Failures are written as replayable
+class TestTelemetryOnOff:
+    """Telemetry observes the chase without changing what it derives.
+    A telemetry-free run fires ground and aggregate rules in bulk
+    straight from the batch columns; a telemetry run fires binding by
+    binding.  That is the one fork left in rule application, and this
+    property guards it.  Failures are written as replayable
     conformance seed artifacts (the embedded rendered program replays
     with ``python -m repro.testing.conformance --replay <path>``).
     """
@@ -222,60 +225,51 @@ class TestPlannedVsLegacy:
             max_rounds=self.MAX_ROUNDS,
             max_facts=self.MAX_FACTS,
             termination="restricted",
-            engine_variant="both",
         )
         return f"{detail}\nartifact: {path}"
 
-    def _run(self, program, use_plans):
+    def _run(self, program, traced):
+        from repro import telemetry
+
+        if traced:
+            telemetry.enable()
         try:
             result = program.run(
                 provenance=True,
                 max_rounds=self.MAX_ROUNDS,
                 max_facts=self.MAX_FACTS,
                 preflight=False,
-                use_plans=use_plans,
             )
         except Exception as exc:  # noqa: BLE001 — crashes compared too
             return ("error", type(exc).__name__)
-        return (
-            "ok",
-            frozenset(result.facts()),
-            len(result.provenance),
-            result.rounds,
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        facts = frozenset(result.facts())
+        # Per-binding firing replaces an aggregate group fact once per
+        # improving binding and every replaced fact keeps its
+        # derivation, so count only the derivations of facts that
+        # survive.
+        derived = sum(
+            1 for d in result.provenance.derivations() if d.fact in facts
         )
+        return ("ok", facts, derived, result.rounds)
 
     @given(rng=st.randoms(use_true_random=False))
-    def test_identical_facts_provenance_and_rounds(self, rng):
-        """Without existentials and aggregates the two paths agree on
-        everything: fact sets (labels and all), provenance entry
-        counts, and semi-naive round counts."""
-        from repro.testing.generator import (
-            GeneratorConfig, generate_program,
-        )
-
-        config = GeneratorConfig(p_existential=0.0, p_aggregate=0.0)
-        program = generate_program(rng, config)
-        planned = self._run(program, use_plans=True)
-        legacy = self._run(program, use_plans=False)
-        if planned != legacy:
-            raise AssertionError(self._save_failure(
-                program,
-                f"planned {planned[:2]} != legacy {legacy[:2]}",
-            ))
-
-    @given(rng=st.randoms(use_true_random=False))
-    def test_three_way_agreement_full_feature_mix(self, rng):
-        """With the full generator feature mix (existentials,
-        aggregates, negation, EGDs) planned, legacy and the naive
-        reference agree up to null isomorphism."""
-        from repro.testing.conformance import run_one
+    def test_same_facts_derivations_and_rounds(self, rng):
+        """With the full generator mix (existentials, aggregates,
+        negation, EGDs) both runs agree on fact sets (labelled nulls
+        and all), derivation counts of those facts, and semi-naive
+        round counts."""
         from repro.testing.generator import (
             GeneratorConfig, generate_program,
         )
 
         program = generate_program(rng, GeneratorConfig())
-        outcome = run_one(program, engine_variant="both")
-        if outcome.is_disagreement:
-            raise AssertionError(
-                self._save_failure(program, outcome.detail)
-            )
+        quiet = self._run(program, traced=False)
+        traced = self._run(program, traced=True)
+        if quiet != traced:
+            raise AssertionError(self._save_failure(
+                program,
+                f"telemetry off {quiet[:2]} != telemetry on {traced[:2]}",
+            ))

@@ -8,6 +8,7 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main as cli_main
+from repro.errors import EvaluationError
 from repro.telemetry.inspect import render_explain
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
@@ -42,7 +43,6 @@ class TestStaticExplain:
         assert [r["rule"] for r in doc["rules"]] == ["base", "step"]
         base = doc["rules"][0]
         assert base["stratum"] == 0
-        assert not base["unplannable"]
         names = [p["name"] for p in base["plans"]]
         assert names == ["first-round", "delta[0:e]"]
         first_step = base["plans"][0]["steps"][0]
@@ -60,17 +60,15 @@ class TestStaticExplain:
         assert probe["key_positions"] == [0]
         assert "probe" in probe["detail"]
 
-    def test_unplannable_rule_carries_reason(self):
+    def test_unplannable_rule_rejected(self):
+        # An assignment reading a variable only an external binds has
+        # no plan: compiling the rule raises.
         source = (
             "out(Q) :- #gen(X), Q = X + 1.\n@output(\"out\").\n"
         )
         program = Program.parse(source)
-        doc = ChaseEngine(program.rules).explain()
-        (entry,) = doc["rules"]
-        assert entry["unplannable"]
-        assert "reads" in entry["reason"]
-        assert entry["plans"] == []
-        assert "UNPLANNABLE" in render_explain(doc)
+        with pytest.raises(EvaluationError, match="external-only"):
+            ChaseEngine(program.rules).explain()
 
     def test_empty_program(self):
         doc = ChaseEngine([]).explain()
@@ -116,10 +114,6 @@ class TestAnalyze:
         assert frozenset(plain.facts()) == frozenset(analyzed.facts())
         assert plain.rounds == analyzed.rounds
 
-    def test_analyze_forces_plans(self):
-        engine = ChaseEngine([], use_plans=False, analyze=True)
-        assert engine.use_plans
-
     def test_analyze_with_telemetry_enabled(self):
         # The two-phase (metrics) path must collect actuals too.
         telemetry.enable()
@@ -139,11 +133,11 @@ class TestAnalyze:
         assert result.explain_report is None
         assert "explain" not in result.stats
 
-    def test_analyze_survives_plan_fallback(self):
-        # The fallback rule re-enumerates via legacy; ANALYZE must not
-        # break the run or the document.  (Mutual recursion puts the
-        # bad e-fact into a delta round where the pushed-down division
-        # raises — see TestPlanFallbackEvents in test_telemetry_events.)
+    def test_analyze_survives_masked_rows(self):
+        # A masked row must not break the run or the document.
+        # (Mutual recursion puts the bad e-fact into a delta round
+        # where the pushed-down division raises on a row the join on f
+        # rejects — see TestBatchedErrorMasking in test_columnar.)
         source = (
             'f(1). e(1, 1). seed(2).\n'
             'out(Q) :- e(X, Y), Q = X / Y, f(X).\n'
@@ -170,13 +164,6 @@ class TestDegeneratePlanReports:
         result = ChaseEngine([]).run([Atom.of("e", 1)])
         assert result.plan_report == {}
         assert result.stats["plans"] == {}
-
-    def test_legacy_run_has_no_report(self):
-        result = Program.parse(TRANSITIVE).run(
-            preflight=False, use_plans=False
-        )
-        assert result.plan_report is None
-        assert "plans" not in result.stats
 
     def test_zero_firing_run_keeps_report(self):
         # No facts: nothing fires, the plan report must still render.
@@ -205,16 +192,6 @@ class TestDegeneratePlanReports:
         err = capsys.readouterr().err
         assert "compiled join plans" in err
         assert "nothing was planned" in err
-
-    def test_cli_rule_profile_legacy_run(self, tmp_path, capsys):
-        path = tmp_path / "p.vada"
-        path.write_text(TRANSITIVE)
-        exit_code = cli_main([
-            "--rule-profile", "engine", str(path),
-            "--legacy-enumeration", "--no-preflight",
-        ])
-        assert exit_code == 0
-        assert "legacy enumerator" in capsys.readouterr().err
 
 
 class TestMemoryAccounting:

@@ -1,23 +1,14 @@
-"""Compiled join plans: compilation shape, execution fidelity, the
-legacy escape hatch and the PlanFallback safety net."""
-
-import os
-from unittest import mock
+"""Compiled join plans: compilation shape, execution fidelity against
+the naive oracle, and the engine's plan cache."""
 
 import pytest
 
+from repro.errors import EvaluationError
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
 from repro.vadalog.chase import ChaseEngine
-from repro.vadalog.database import FactStore
-from repro.vadalog.plans import (
-    AssignStep,
-    FilterStep,
-    NegationStep,
-    PlanFallback,
-    ScanStep,
-    compile_rule_plans,
-)
+from repro.vadalog.plans import NegationStep, ScanStep, compile_rule_plans
+from repro.vadalog.reference import naive_chase
 from repro.vadalog.terms import Constant, Variable
 from repro.vadalog.unification import probe_layout
 
@@ -57,7 +48,6 @@ class TestCompilation:
             "out(X, Z) :- e(X, Y), f(Y, Z).\n@output(\"out\").\n"
         )
         plans = compile_rule_plans(rule)
-        assert not plans.unplannable
         assert [pred for _, pred, _ in plans.delta_plans] == ["e", "f"]
         # Each delta plan leads with a delta-scoped scan of its literal.
         for index, _pred, plan in plans.delta_plans:
@@ -86,7 +76,7 @@ class TestCompilation:
         assert plans.first_round.steps[2].key_positions == (0,)
 
     def test_conditions_wait_for_assignments(self):
-        # Legacy evaluates every assignment before any condition and
+        # A rule evaluates every assignment before any condition and
         # stops at the first failure; the plan preserves that order.
         (rule,) = parse_rules(
             "out(X) :- e(X, Y), X > 0, Q = Y * 2, R = Q + X.\n"
@@ -105,34 +95,17 @@ class TestCompilation:
         plans = compile_rule_plans(rule)
         steps = plans.first_round.steps
         negation = next(s for s in steps if isinstance(s, NegationStep))
-        # Q is assignment-bound: the legacy path checks negation before
-        # assignments run, so Q must stay out of the probe key.
+        # Q is assignment-bound: negation is checked over the positive
+        # join, before assignments run, so Q must stay out of the key.
         assert negation.key_positions == (0,)
 
-    def test_recursive_rule_not_streamable(self):
+    def test_assignment_reading_external_only_variable_rejected(self):
         (rule,) = parse_rules(
-            "p(X, Z) :- p(X, Y), e(Y, Z).\np(1, 2).\n@output(\"p\").\n"
-        )
-        assert not compile_rule_plans(rule).streamable
-
-    def test_negated_head_predicate_not_streamable(self):
-        rules = parse_rules(
-            "out(X) :- e(X), not aux(X).\naux(X) :- f(X).\n"
+            "out(X, Q) :- e(X), #ext(X, Y), Q = Y + 1.\n"
             "@output(\"out\").\n"
         )
-        out_rule = next(r for r in rules if "out" in r.head_predicates())
-        # 'out' is not read by its own body: streamable.
-        assert compile_rule_plans(out_rule).streamable
-
-    def test_plain_join_is_streamable_but_eval_steps_are_not(self):
-        (plain,) = parse_rules(
-            "out(X, Z) :- e(X, Y), f(Y, Z).\n@output(\"out\").\n"
-        )
-        assert compile_rule_plans(plain).streamable
-        (with_filter,) = parse_rules(
-            "out(X) :- e(X, Y), Y > 1.\n@output(\"out\").\n"
-        )
-        assert not compile_rule_plans(with_filter).streamable
+        with pytest.raises(EvaluationError, match="external-only"):
+            compile_rule_plans(rule)
 
     def test_describe_lists_every_plan(self):
         (rule,) = parse_rules(
@@ -144,28 +117,31 @@ class TestCompilation:
 
 
 class TestExecutionFidelity:
-    def _facts(self, *rows):
-        return [Atom.of(*row) for row in rows]
+    """Each case runs the engine and the naive oracle on one program:
+    both succeed with the same facts, or both raise."""
 
-    def _run_both(self, source, facts=()):
-        planned = Program.parse(source).run(
-            facts, provenance=False, preflight=False, use_plans=True
-        )
-        legacy = Program.parse(source).run(
-            facts, provenance=False, preflight=False, use_plans=False
-        )
-        return planned, legacy
+    def _run_both(self, source):
+        program = Program.parse(source)
+        engine = program.run(provenance=False, preflight=False)
+        oracle = naive_chase(program.rules, facts=program.facts)
+        return engine, oracle
 
-    def test_join_results_match_legacy(self):
+    def _assert_both_raise(self, source):
+        program = Program.parse(source)
+        with pytest.raises(EvaluationError):
+            program.run(provenance=False, preflight=False)
+        with pytest.raises(EvaluationError):
+            naive_chase(program.rules, facts=program.facts)
+
+    def test_join_results_match_oracle(self):
         source = (
             "e(1, 2). e(2, 3). e(3, 4).\n"
             "path(X, Y) :- e(X, Y).\n"
             "path(X, Z) :- path(X, Y), e(Y, Z).\n"
             "@output(\"path\").\n"
         )
-        planned, legacy = self._run_both(source)
-        assert frozenset(planned.facts()) == frozenset(legacy.facts())
-        assert planned.rounds == legacy.rounds
+        engine, oracle = self._run_both(source)
+        assert frozenset(engine.facts()) == frozenset(oracle.facts())
 
     def test_duplicate_body_literals(self):
         # The seed suite's RecursionError shape: identical literals.
@@ -173,78 +149,80 @@ class TestExecutionFidelity:
             "e(1, 2). e(2, 3).\n"
             "out(X, Z) :- e(X, Z), e(X, Z).\n@output(\"out\").\n"
         )
-        planned, legacy = self._run_both(source)
-        assert frozenset(planned.facts()) == frozenset(legacy.facts())
+        engine, oracle = self._run_both(source)
+        assert frozenset(engine.facts()) == frozenset(oracle.facts())
 
     def test_repeated_variables_in_one_atom(self):
         source = (
             "e(1, 1). e(1, 2). e(2, 2).\n"
             "diag(X) :- e(X, X).\n@output(\"diag\").\n"
         )
-        planned, _ = self._run_both(source)
-        assert sorted(planned.tuples("diag")) == [(1,), (2,)]
+        engine, _ = self._run_both(source)
+        assert sorted(engine.tuples("diag")) == [(1,), (2,)]
 
     def test_assignment_equality_check_when_target_bound(self):
         source = (
             "e(1, 2). e(2, 4). f(1). f(2).\n"
             "out(X) :- e(X, Y), f(X), Y = X * 2.\n@output(\"out\").\n"
         )
-        planned, legacy = self._run_both(source)
-        assert sorted(planned.tuples("out")) == \
-            sorted(legacy.tuples("out")) == [(1,), (2,)]
+        engine, oracle = self._run_both(source)
+        assert sorted(engine.tuples("out")) == [(1,), (2,)]
+        assert frozenset(engine.facts()) == frozenset(oracle.facts())
 
-    def test_fallback_reproduces_legacy_error(self):
+    def test_error_surfaces_when_row_completes_join(self):
         # The pushed-down assignment divides by an e-value; with 0 in
-        # range both paths must raise the same EvaluationError rather
-        # than the planned path crashing earlier or differently.
-        from repro.errors import EvaluationError
-
-        source = (
+        # range and f(1) completing the join, the rule body reaches
+        # the division, so the engine raises like the oracle does.
+        self._assert_both_raise(
             "e(1, 0). f(1).\n"
             "out(Q) :- e(X, Y), Q = X / Y, f(X).\n@output(\"out\").\n"
         )
-        for use_plans in (True, False):
-            with pytest.raises(EvaluationError):
-                Program.parse(source).run(
-                    provenance=False, preflight=False,
-                    use_plans=use_plans,
-                )
 
-    def test_fallback_suppresses_error_legacy_never_hits(self):
-        # Legacy never evaluates Q (the join on f filters X=2 out
-        # before finish), so the planned path — whose pushed-down
-        # assignment would divide by zero mid-join — must fall back
-        # and agree, not crash.
+    def test_error_masked_when_row_never_completes_join(self):
+        # f filters X=2 out of the full join, so the body never
+        # evaluates 2/0: the pushed-down assignment's error on that
+        # row is masked and the result matches the oracle.
         source = (
             "e(1, 1). e(2, 0). f(1).\n"
             "out(Q) :- e(X, Y), Q = X / Y, f(X).\n@output(\"out\").\n"
         )
-        planned, legacy = self._run_both(source)
-        assert frozenset(planned.facts()) == frozenset(legacy.facts())
+        engine, oracle = self._run_both(source)
+        assert frozenset(engine.facts()) == frozenset(oracle.facts())
+
+    def test_error_masked_when_earlier_assignment_rejects_completions(
+        self,
+    ):
+        # The plan assigns Y = X + 1 after scanning a, then checks the
+        # raising condition 1 / X > 0 before it probes b(Y).  For a(0)
+        # a completing join exists only through b(5), and there the
+        # body's Y = X + 1 is an equality check that rejects it before
+        # the condition runs: the error is masked, as in the oracle.
+        source = (
+            "a(0). a(1). b(2). b(5).\n"
+            "out(X) :- a(X), b(Y), Y = X + 1, 1 / X > 0.\n"
+            "@output(\"out\").\n"
+        )
+        engine, oracle = self._run_both(source)
+        assert sorted(engine.tuples("out")) == [(1,)]
+        assert frozenset(engine.facts()) == frozenset(oracle.facts())
+        (rule,) = Program.parse(source).rules
+        kinds = [
+            type(step).__name__
+            for step in compile_rule_plans(rule).first_round.steps
+        ]
+        assert kinds == ["ScanStep", "AssignStep", "FilterStep", "ScanStep"]
 
     def test_negation_with_unbound_variable(self):
         source = (
             "e(1). e(2). f(2, 7).\n"
             "out(X) :- e(X), not f(X, _).\n@output(\"out\").\n"
         )
-        planned, legacy = self._run_both(source)
-        assert sorted(planned.tuples("out")) == \
-            sorted(legacy.tuples("out")) == [(1,)]
+        engine, oracle = self._run_both(source)
+        assert sorted(engine.tuples("out")) == [(1,)]
+        assert frozenset(engine.facts()) == frozenset(oracle.facts())
 
 
-class TestEscapeHatch:
-    def test_env_var_disables_plans(self):
-        with mock.patch.dict(
-            os.environ, {"CHASE_LEGACY_ENUMERATION": "1"}
-        ):
-            engine = ChaseEngine([])
-        assert not engine.use_plans
-
-    def test_explicit_flag_wins(self):
-        engine = ChaseEngine([], use_plans=False)
-        assert not engine.use_plans
-        assert ChaseEngine([]).use_plans
-
+class TestPlanCache:
     def test_plan_cache_survives_across_runs(self):
         (rule,) = parse_rules("out(X) :- e(X).\n@output(\"out\").\n")
         engine = ChaseEngine([rule])
@@ -263,27 +241,3 @@ class TestEscapeHatch:
         report = engine.plan_report()
         assert "hop" in report
         assert "first-round" in report["hop"]
-
-
-class TestPlanSteps:
-    def test_filter_step_wraps_errors_in_fallback(self):
-        (rule,) = parse_rules(
-            "out(X) :- e(X), X > 1.\n@output(\"out\").\n"
-        )
-        condition = rule.conditions[0]
-        step = FilterStep(condition)
-        with pytest.raises(PlanFallback):
-            # X bound to a string: '>' raises inside holds().
-            list(step.iterate(
-                FactStore(), {Variable("X"): Constant("nope")}, []
-            ))
-
-    def test_assign_step_wraps_errors_in_fallback(self):
-        (rule,) = parse_rules(
-            "out(Q) :- e(X), Q = X + 1.\n@output(\"out\").\n"
-        )
-        step = AssignStep(rule.assignments[0])
-        with pytest.raises(PlanFallback):
-            list(step.iterate(
-                FactStore(), {Variable("X"): Constant("nope")}, []
-            ))
