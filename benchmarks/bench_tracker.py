@@ -1,11 +1,15 @@
-"""Micro-benchmark — the within-iteration GroupTracker — and the
-bench *trajectory* recorder.
+"""Micro-benchmark — the cycle's GroupTracker — and the bench
+*trajectory* recorder.
 
 The cycle's recheck (skip tuples already fixed by earlier suppressions
-in the same pass) relies on O(|null rows|) incremental group statistics
-instead of a full semantics recomputation.  This bench quantifies the
+in the same pass) reads the run's incrementally updated group index:
+one hash probe per live null mask instead of a full semantics
+recomputation.  The "most risky first" heuristic reads its
+leave-one-out counts from the same index.  This bench quantifies the
 per-recheck cost of both paths — the design choice that keeps the
-injected-null counts minimal *and* the cycle fast.
+injected-null counts minimal *and* the cycle fast — and checks the
+recheck and the leave-one-out counts against fresh ``match_counts``.
+Run it with ``PYTHONPATH=src python benchmarks/bench_tracker.py``.
 
 :func:`record_registry_snapshot` is the perf-baseline hook: it appends
 the current telemetry registry snapshot (chase iterations, rule
@@ -112,9 +116,8 @@ def tracker_vs_recompute():
     factory = NullFactory()
     # Suppress a handful of cells so null rows exist.
     for row in range(0, 40, 4):
-        old_key = tracker.before_change(row)
         method.apply(db, row, attributes[row % len(attributes)], factory)
-        tracker.after_change(row, old_key)
+        tracker.after_change(row)
 
     probes = list(range(0, len(db), 7))
     start = time.perf_counter()
@@ -126,10 +129,16 @@ def tracker_vs_recompute():
     counts = MAYBE_MATCH.match_counts(db, attributes)
     recompute_time = time.perf_counter() - start
 
-    # Consistency: the tracker agrees with the full recomputation.
+    # Consistency: the tracker agrees with the full recomputation, and
+    # so does each QI's leave-one-out count.
     for row in probes:
         count, _ = tracker.stats(row)
         assert count == counts[row]
+    for attribute in attributes:
+        remaining = [a for a in attributes if a != attribute]
+        expected = MAYBE_MATCH.match_counts(db, remaining)
+        without = tracker.index.counts_without(attribute, probes)
+        assert all(without[row] == expected[row] for row in probes)
 
     per_probe = tracker_time / len(probes)
     return [

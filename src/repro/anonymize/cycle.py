@@ -14,12 +14,14 @@ until every tuple's risk is within the threshold T:
 5. repeat until no tuple violates T.
 
 Mirroring the monotonic-aggregation semantics that lets an anonymized
-tuple supersede its original *within* an iteration, the cycle keeps an
-incremental :class:`GroupTracker`: before acting on a tuple it rechecks
-whether earlier suppressions in the same pass already pushed it under
-the threshold, which is what keeps the injected-null counts minimal
-(Fig. 7a).  Measures that cannot be rechecked from group statistics
-alone (SUDA) simply skip the recheck.
+tuple supersede its original *within* an iteration, the cycle keeps one
+incremental :class:`GroupTracker` for the whole run, updated after
+every step.  Before acting on a tuple it rechecks whether earlier
+suppressions in the same pass already pushed it under the threshold,
+which is what keeps the injected-null counts minimal (Fig. 7a).
+Measures that cannot be rechecked from group statistics alone (SUDA)
+simply skip the recheck.  The same index gives the QI heuristic its
+leave-one-out counts at the start of each pass.
 
 Every applied step carries the full motivation (the body binding of
 Rule 2: tuple id, risk score, group evidence) in the result's trace —
@@ -28,22 +30,12 @@ the paper's explainability guarantee.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .. import telemetry
 from ..errors import AnonymizationError
 from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import (
-    MAYBE_MATCH,
-    MaybeMatchSemantics,
-    NullSemantics,
-    StandardSemantics,
-    _common_getter,
-    _mask_bits,
-    _null_mask,
-    _row_projector,
-)
+from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
 from ..risk.base import RiskMeasure, RiskReport
 from ..risk.cluster import propagate_over_clusters
 from ..vadalog.terms import NullFactory
@@ -58,15 +50,13 @@ from . import metrics as _metrics
 
 
 class GroupTracker:
-    """Incremental =⊥-group statistics under suppression/recoding.
+    """The cycle's within-pass recheck over the run's :class:`GroupIndex`.
 
-    Maintains, per quasi-identifier combination, the exact count and
-    weight sum of null-free rows, plus the set of null-carrying rows,
-    so a single row's current group frequency can be rechecked in
-    O(|null rows|) instead of a full pass.  Each row's QI tuple and
-    null bitmask are kept too (refreshed when the row changes), so a
-    recheck compares two rows on their common non-null positions with
-    one cached getter per mask instead of testing cells one by one.
+    Holds the =⊥-group counts and weight sums of the working DB for a
+    whole cycle run.  :meth:`stats` reads a row's current group (the
+    recheck); :meth:`after_change` reports each suppressed or recoded
+    row, so only the groups of its old and new null mask move.  The QI
+    heuristic reads its leave-one-out counts from :attr:`index`.
     """
 
     def __init__(
@@ -75,97 +65,17 @@ class GroupTracker:
         attributes: Sequence[str],
         semantics: NullSemantics,
     ):
-        self.db = db
-        self.attributes = list(attributes)
-        self.semantics = semantics
-        self.weights = db.weights()
-        self.counts: Counter = Counter()
-        self.weight_sums: Dict[Tuple, float] = defaultdict(float)
-        self.null_rows: Set[int] = set()
-        self._standard = isinstance(semantics, StandardSemantics)
-        self._project = _row_projector(self.attributes)
-        self._bits = _mask_bits(len(self.attributes))
-        self._full = (1 << len(self.attributes)) - 1
-        self._getters: Dict[int, Any] = {}
-        self._projections: List[Tuple] = [()] * len(db)
-        self._masks: List[int] = [0] * len(db)
-        for index in range(len(db)):
-            self._refresh(index)
-            key = self._key(index)
-            if key is None:
-                self.null_rows.add(index)
-            else:
-                self.counts[key] += 1
-                self.weight_sums[key] += self.weights[index]
-
-    def _refresh(self, index: int) -> None:
-        projection = self._project(self.db.rows[index])
-        self._projections[index] = projection
-        self._masks[index] = _null_mask(projection, self._bits)
-
-    def _key(self, index: int) -> Optional[Tuple]:
-        # Under standard semantics a null is just another value.
-        if self._masks[index] and not self._standard:
-            return None
-        return self._projections[index]
+        self.index = GroupIndex(
+            db, attributes, db.weights(), semantics.nulls_match
+        )
 
     def stats(self, index: int) -> Tuple[int, float]:
         """Current (=⊥-match count, matched weight sum) for a row."""
-        key = self._key(index)
-        if key is not None:
-            return self._scan(
-                index, self.null_rows, self.counts[key], self.weight_sums[key]
-            )
-        # Null-carrying row under maybe-match: full scan.
-        return self._scan(index, range(len(self.db)), 0, 0.0)
+        return self.index.lookup(index)
 
-    def _scan(
-        self, index: int, others, count: int, weight_sum: float
-    ) -> Tuple[int, float]:
-        """Add each of ``others`` that agrees with the row on their
-        common non-null positions to ``(count, weight_sum)``."""
-        projections = self._projections
-        masks = self._masks
-        weights = self.weights
-        exclude = ~masks[index] & self._full
-        query = projections[index]
-        probes: Dict[int, Tuple[Any, Any]] = {}
-        for other in others:
-            common = exclude & ~masks[other]
-            probe = probes.get(common)
-            if probe is None:
-                getter = self._getters.get(common)
-                if getter is None:
-                    getter = self._getters[common] = _common_getter(
-                        common, len(self.attributes)
-                    )
-                probe = probes[common] = (getter, getter(query))
-            if probe[0](projections[other]) == probe[1]:
-                count += 1
-                weight_sum += weights[other]
-        return count, weight_sum
-
-    def before_change(self, index: int) -> Optional[Tuple]:
-        """Capture the row's key before the method mutates it."""
-        return self._key(index)
-
-    def after_change(self, index: int, old_key: Optional[Tuple]) -> None:
+    def after_change(self, index: int) -> None:
         """Re-register the row after a suppression or recoding."""
-        if old_key is not None:
-            self.counts[old_key] -= 1
-            self.weight_sums[old_key] -= self.weights[index]
-            if self.counts[old_key] <= 0:
-                del self.counts[old_key]
-                self.weight_sums.pop(old_key, None)
-        else:
-            self.null_rows.discard(index)
-        self._refresh(index)
-        new_key = self._key(index)
-        if new_key is None:
-            self.null_rows.add(index)
-        else:
-            self.counts[new_key] += 1
-            self.weight_sums[new_key] += self.weights[index]
+        self.index.update(index)
 
 
 class CycleResult:
@@ -313,6 +223,8 @@ class AnonymizationCycle:
         initial_risky: List[int] = []
         converged = False
         attributes = self.attributes or working.quasi_identifiers
+        tracker: Optional[GroupTracker] = None
+        recheck = self.recheck and self._supports_recheck()
 
         iteration = 0
         while iteration < self.max_iterations:
@@ -343,12 +255,9 @@ class AnonymizationCycle:
                     )
                 break
             ordered = self.tuple_ordering(working, actionable, report)
-            self.qi_selection.prepare(working, attributes, self.semantics)
-            tracker = (
-                GroupTracker(working, attributes, self.semantics)
-                if self.recheck and self._supports_recheck()
-                else None
-            )
+            if tracker is None:
+                tracker = GroupTracker(working, attributes, self.semantics)
+            self.qi_selection.prepare(tracker.index, ordered)
             acted = 0
             suppressed_now = 0
             recoded_now = 0
@@ -358,7 +267,7 @@ class AnonymizationCycle:
                 and telemetry.state.events is not None
             )
             for row in ordered:
-                if tracker is not None:
+                if recheck:
                     count, weight_sum = tracker.stats(row)
                     safe = self.measure.safe_from_group(
                         count, weight_sum, self.threshold
@@ -404,9 +313,6 @@ class AnonymizationCycle:
                 qi_values_before = (
                     [str(v) for v in working.qi_values(row, attributes)]
                     if observing else None
-                )
-                old_key = (
-                    tracker.before_change(row) if tracker is not None else None
                 )
                 step = self.method.apply(
                     working,
@@ -456,8 +362,7 @@ class AnonymizationCycle:
                         qis=list(attributes),
                         qi_values=qi_values_before,
                     )
-                if tracker is not None:
-                    tracker.after_change(row, old_key)
+                tracker.after_change(row)
             if telemetry.state.enabled:
                 self._record_iteration(
                     working, report, iteration, len(risky), acted,

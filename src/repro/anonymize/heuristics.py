@@ -19,7 +19,7 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..model.microdata import MicrodataDB
-from ..model.nulls import NullSemantics
+from ..model.nulls import GroupIndex
 from ..risk.base import RiskReport
 
 # ---------------------------------------------------------------------------
@@ -40,16 +40,15 @@ def less_significant_first(
     db: MicrodataDB, risky: List[int], report: RiskReport
 ) -> List[int]:
     """Lowest sampling weight first (the paper's default)."""
-    return sorted(risky, key=db.weight_of)
+    return sorted(risky, key=db.weights().__getitem__)
 
 
 def most_risky_tuple_first(
     db: MicrodataDB, risky: List[int], report: RiskReport
 ) -> List[int]:
     """Highest risk score first (ties broken by weight ascending)."""
-    return sorted(
-        risky, key=lambda i: (-report.scores[i], db.weight_of(i))
-    )
+    weights = db.weights()
+    return sorted(risky, key=lambda i: (-report.scores[i], weights[i]))
 
 
 TUPLE_ORDERINGS: Dict[str, TupleOrdering] = {
@@ -68,13 +67,10 @@ class QISelection:
 
     name = "abstract"
 
-    def prepare(
-        self,
-        db: MicrodataDB,
-        attributes: Sequence[str],
-        semantics: NullSemantics,
-    ) -> None:
-        """Called once per cycle iteration before any selection."""
+    def prepare(self, index: GroupIndex, rows: Sequence[int]) -> None:
+        """Called once per cycle iteration, before the pass edits
+        anything, with the run's grouping index and the rows the pass
+        will visit."""
 
     def select(
         self,
@@ -110,24 +106,25 @@ class MostRiskyFirstSelection(QISelection):
     """Pick the attribute whose suppression yields the largest
     =⊥-group for the tuple (i.e. reduces its risk the most).
 
-    Implemented by computing, per cycle iteration, the match counts of
-    every row over each leave-one-out attribute subset — q extra
-    near-linear passes instead of a quadratic per-tuple simulation.
+    At the start of each cycle iteration it reads, for every row the
+    pass will visit, the leave-one-out match count of each attribute
+    from the run's :class:`GroupIndex` — one batched hash join per
+    (query mask, data mask) pair instead of a quadratic per-tuple
+    simulation.  Every selection in the pass uses these
+    iteration-start counts, even after earlier steps of the same pass
+    have changed the groups.
     """
 
     name = "most-risky-first"
 
     def __init__(self):
-        self._counts_without: Dict[str, List[int]] = {}
+        self._counts_without: Dict[str, Dict[int, int]] = {}
 
-    def prepare(self, db, attributes, semantics):
-        self._counts_without = {}
-        attributes = list(attributes)
-        for attribute in attributes:
-            remaining = [a for a in attributes if a != attribute]
-            self._counts_without[attribute] = semantics.match_counts(
-                db, remaining
-            )
+    def prepare(self, index, rows):
+        self._counts_without = {
+            attribute: index.counts_without(attribute, rows)
+            for attribute in index.attributes
+        }
 
     def select(self, db, row, applicable):
         best = None

@@ -6,6 +6,7 @@ from .metadata import AttributeEntry, ExperienceBase, MetadataDictionary
 from .microdata import MicrodataDB, is_suppressed
 from .nulls import (
     MAYBE_MATCH,
+    GroupIndex,
     STANDARD,
     MaybeMatchSemantics,
     NullSemantics,
@@ -20,6 +21,7 @@ __all__ = [
     "AttributeEntry",
     "DomainHierarchy",
     "ExperienceBase",
+    "GroupIndex",
     "IdentityOracle",
     "MAYBE_MATCH",
     "MaybeMatchSemantics",

@@ -92,7 +92,16 @@ class MicrodataDB:
         return float(value)
 
     def weights(self) -> List[float]:
-        return [self.weight_of(i) for i in range(len(self.rows))]
+        """Every row's :meth:`weight_of`, resolving the weight attribute
+        once."""
+        attribute = self.weight_attribute
+        if attribute is None:
+            return [1.0] * len(self.rows)
+        values = [row.get(attribute) for row in self.rows]
+        return [
+            1.0 if value is None or is_suppressed(value) else float(value)
+            for value in values
+        ]
 
     def qi_values(
         self, index: int, attributes: Optional[Sequence[str]] = None

@@ -17,24 +17,41 @@ into the same aggregation group.
 Both semantics expose the same interface: per-row *match frequency*
 (how many rows =⊥-match this row on the chosen QIs, including itself)
 and *matched weight sums* (the Σ W over matching rows used by
-re-identification risk).  The maybe-match computation projects each row
-once onto the chosen QIs and gives it an integer null bitmask (bit j
-set when position j holds a labelled null), partitioning the rows by
-mask.  Two rows =⊥-match exactly when they agree on ``common = full &
-~(q | d)``, the positions non-null in both masks, so every (query mask,
-data mask) pair is one hash join on ``common``.  The data-side index is
-keyed by ``(data mask, common)`` and, like the getter for each
-``common``, is built once per call and reused by every query mask that
-meets it.  The work stays near-linear while masks are few — which holds
-during anonymization, where suppression introduces nulls sparsely.
+re-identification risk).  Both are served by one :class:`GroupIndex`.
+It projects each row once onto the chosen QIs and gives it an integer
+null bitmask (bit j set when position j holds a labelled null; always 0
+under standard semantics, where a null is just another value), grouping
+the rows by mask.  Two rows =⊥-match exactly when they agree on
+``common = full & ~(q | d)``, the positions non-null in both masks, so
+a row's count is one hash probe per live data mask into the count and
+weight sum by key of ``(data mask, common)``, a group built on first use.
+A leave-one-out count is the same probe with the dropped position's bit
+OR-ed into the query mask.  :meth:`GroupIndex.update` re-projects one
+edited row and adjusts only the groups already built for its old and
+new mask, so the anonymization cycle keeps one index for a whole run
+(the contributor-based reading of the paper's monotonic aggregation).
+:meth:`GroupIndex.aggregate` answers every row at once, one hash join
+per (query mask, data mask) pair.  The work stays near-linear while
+masks are few — which holds during anonymization, where suppression
+introduces nulls sparsely.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import compress, repeat
 from operator import add, itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..vadalog.terms import LabelledNull
 from .microdata import MicrodataDB, is_suppressed
@@ -43,22 +60,24 @@ from .microdata import MicrodataDB, is_suppressed
 def _row_projector(attributes: Sequence[str]) -> Callable[[Dict], Tuple]:
     """A getter projecting a row onto ``attributes`` as a tuple (a
     single-attribute ``itemgetter`` would return a bare value)."""
+    if not attributes:
+        return lambda row: ()
     if len(attributes) == 1:
         (attribute,) = attributes
         return lambda row: (row[attribute],)
     return itemgetter(*attributes)
 
 
-def _mask_bits(width: int) -> Tuple[int, ...]:
-    """The bit of each of ``width`` projected positions."""
-    return tuple(1 << position for position in range(width))
-
-
-def _null_mask(projection: Tuple, bits: Tuple[int, ...]) -> int:
-    """The projection's null bitmask: bit j set when position j holds a
-    labelled null (one ``isinstance`` test per cell)."""
-    nulls = map(isinstance, projection, repeat(LabelledNull))
-    return sum(compress(bits, nulls))
+def _null_masks(
+    projections: Iterable[Tuple], bits: Tuple[int, ...]
+) -> List[int]:
+    """Each projection's null bitmask: bit j set when position j holds
+    a labelled null (one ``isinstance`` test per cell)."""
+    nulls = repeat(LabelledNull)
+    return [
+        sum(compress(bits, map(isinstance, projection, nulls)))
+        for projection in projections
+    ]
 
 
 def _common_getter(common: int, width: int) -> Callable[[Tuple], Any]:
@@ -70,10 +89,231 @@ def _common_getter(common: int, width: int) -> Callable[[Tuple], Any]:
     return itemgetter(*(p for p in range(width) if common >> p & 1))
 
 
+#: (count by key, value sum by key or None) of one (data mask, common)
+Group = Tuple[Dict[Any, int], Optional[Dict[Any, float]]]
+
+
+class GroupIndex:
+    """=⊥-group statistics of a DB's rows on ``attributes``, kept
+    current under single-row edits.
+
+    ``values`` (one per row, e.g. the sampling weights) are summed over
+    matching rows; with ``values=None`` only counts are kept.  With
+    ``nulls_match=False`` every mask is 0 and the index is plain hash
+    grouping (standard semantics).  The index reads ``db.rows`` when
+    built and in :meth:`update`; callers report each edited row.
+    """
+
+    def __init__(
+        self,
+        db: MicrodataDB,
+        attributes: Optional[Sequence[str]] = None,
+        values: Optional[Sequence[float]] = None,
+        nulls_match: bool = True,
+    ):
+        self.db = db
+        self.attributes = (
+            list(attributes) if attributes is not None
+            else db.quasi_identifiers
+        )
+        self.values = values
+        width = len(self.attributes)
+        self._width = width
+        self._full = (1 << width) - 1
+        self._bits = tuple(1 << position for position in range(width))
+        self._bit_of = dict(zip(self.attributes, self._bits))
+        self._nulls_match = nulls_match
+        self._project = _row_projector(self.attributes)
+        self._projections: List[Tuple] = list(map(self._project, db.rows))
+        if nulls_match:
+            self._masks = _null_masks(self._projections, self._bits)
+        else:
+            self._masks = [0] * len(self._projections)
+        #: mask -> its rows, in insertion order (a dict as ordered set)
+        self._members: Dict[int, Dict[int, None]] = {}
+        for row, mask in enumerate(self._masks):
+            members = self._members.get(mask)
+            if members is None:
+                members = self._members[mask] = {}
+            members[row] = None
+        #: data mask -> common -> group, built on first use
+        self._groups: Dict[int, Dict[int, Group]] = {}
+        self._getters: Dict[int, Callable[[Tuple], Any]] = {}
+
+    def _getter(self, common: int) -> Callable[[Tuple], Any]:
+        getter = self._getters.get(common)
+        if getter is None:
+            getter = self._getters[common] = _common_getter(
+                common, self._width
+            )
+        return getter
+
+    def _keys(self, rows: Iterable[int], common: int) -> List:
+        """The rows' join keys on ``common``."""
+        getter = self._getter(common)
+        projections = self._projections
+        return [getter(projections[row]) for row in rows]
+
+    def _group(
+        self, data_mask: int, common: int, keys: Optional[List] = None
+    ) -> Group:
+        """The (data mask, common) group, built from the mask's rows
+        (whose join keys are ``keys``, when known) on first use."""
+        built = self._groups.get(data_mask)
+        if built is None:
+            built = self._groups[data_mask] = {}
+        group = built.get(common)
+        if group is not None:
+            return group
+        members = self._members[data_mask]
+        if keys is None:
+            keys = self._keys(members, common)
+        values = self.values
+        if values is None:
+            group = (Counter(keys), None)
+        else:
+            counts: Dict[Any, int] = {}
+            sums: Dict[Any, float] = {}
+            for key, row in zip(keys, members):
+                counts[key] = counts.get(key, 0) + 1
+                sums[key] = sums.get(key, 0) + values[row]
+            group = (counts, sums)
+        built[common] = group
+        return group
+
+    def lookup(self, row: int) -> Tuple[int, float]:
+        """(=⊥-match count, matched value sum) of one row at the
+        current state."""
+        query = self._masks[row]
+        projection = self._projections[row]
+        full = self._full
+        count = 0
+        total = 0.0
+        for data_mask in self._members:
+            common = full & ~(query | data_mask)
+            counts, sums = self._group(data_mask, common)
+            key = self._getter(common)(projection)
+            count += counts.get(key, 0)
+            if sums is not None:
+                total += sums.get(key, 0.0)
+        return count, total
+
+    def update(self, row: int) -> None:
+        """Re-project a row after an edit: move it from its old mask's
+        built groups to its new mask's."""
+        old_mask = self._masks[row]
+        old_projection = self._projections[row]
+        value = self.values[row] if self.values is not None else 0
+        for common, (counts, sums) in self._groups.get(old_mask, {}).items():
+            key = self._getter(common)(old_projection)
+            left = counts[key] - 1
+            if left:
+                counts[key] = left
+                if sums is not None:
+                    sums[key] -= value
+            else:
+                del counts[key]
+                if sums is not None:
+                    del sums[key]
+        members = self._members[old_mask]
+        del members[row]
+        if not members:
+            del self._members[old_mask]
+            self._groups.pop(old_mask, None)
+
+        projection = self._project(self.db.rows[row])
+        mask = (
+            _null_masks([projection], self._bits)[0]
+            if self._nulls_match else 0
+        )
+        self._projections[row] = projection
+        self._masks[row] = mask
+        members = self._members.get(mask)
+        if members is None:
+            members = self._members[mask] = {}
+        members[row] = None
+        for common, (counts, sums) in self._groups.get(mask, {}).items():
+            key = self._getter(common)(projection)
+            counts[key] = counts.get(key, 0) + 1
+            if sums is not None:
+                sums[key] = sums.get(key, 0) + value
+
+    def counts_without(
+        self, attribute: str, rows: Iterable[int]
+    ) -> Dict[int, int]:
+        """Each row's =⊥-match count at the current state over every
+        attribute but ``attribute`` (a leave-one-out count)."""
+        drop = self._bit_of[attribute]
+        queries: Dict[int, List[int]] = {}
+        for row in rows:
+            queries.setdefault(self._masks[row] | drop, []).append(row)
+        counts: Dict[int, int] = {}
+        for query_rows, row_counts, _ in self._join(queries, sums=False):
+            counts.update(zip(query_rows, row_counts))
+        return counts
+
+    def aggregate(self) -> Tuple[List[int], List[float]]:
+        """Every row's (count, value sum) at once."""
+        n = len(self._masks)
+        counts = [0] * n
+        sums = [0.0] * n
+        for rows, row_counts, row_sums in self._join(
+            self._members, sums=self.values is not None
+        ):
+            for row, count, value_sum in zip(rows, row_counts, row_sums):
+                counts[row] = count
+                sums[row] = value_sum
+        return counts, sums
+
+    def _join(
+        self, queries: Dict[int, Iterable[int]], sums: bool
+    ) -> Iterator[Tuple[Iterable[int], List[int], List[float]]]:
+        """For each query mask's rows, their counts (and value sums):
+        for every (query mask, data mask) pair the rows' keys on
+        ``common`` probe the data mask's group in one ``map``.  When
+        the queries are the index's own masks, each mask's keys on a
+        ``common`` are projected once and serve both sides."""
+        full = self._full
+        shared = queries is self._members
+        # (query mask, common) -> the query rows' keys
+        keys: Dict[Tuple[int, int], List] = {}
+
+        def keys_of(mask: int, common: int) -> List:
+            found = keys.get((mask, common))
+            if found is None:
+                found = keys[(mask, common)] = self._keys(
+                    queries[mask], common
+                )
+            return found
+
+        for query_mask, query_rows in queries.items():
+            row_counts = [0] * len(query_rows)
+            row_sums = [0.0] * len(query_rows)
+            for data_mask in self._members:
+                common = full & ~(query_mask | data_mask)
+                count_index, sum_index = self._group(
+                    data_mask, common,
+                    keys_of(data_mask, common) if shared else None,
+                )
+                query_keys = keys_of(query_mask, common)
+                row_counts = list(map(
+                    add, row_counts,
+                    map(count_index.get, query_keys, repeat(0)),
+                ))
+                if sums:
+                    row_sums = list(map(
+                        add, row_sums,
+                        map(sum_index.get, query_keys, repeat(0.0)),
+                    ))
+            yield query_rows, row_counts, row_sums
+
+
 class NullSemantics:
     """Interface for =⊥ group formation over quasi-identifiers."""
 
     name = "abstract"
+    #: does a labelled null match every value (else only itself)?
+    nulls_match = True
 
     def match_counts(
         self,
@@ -99,7 +339,7 @@ class NullSemantics:
         values: Optional[List[float]],
     ) -> Tuple[List[int], List[float]]:
         """Compute counts and (optionally) value sums in one pass."""
-        raise NotImplementedError
+        return GroupIndex(db, attributes, values, self.nulls_match).aggregate()
 
     def matches_combination(
         self, row: Dict[str, Any], combination: Sequence[Tuple[str, Any]]
@@ -114,27 +354,7 @@ class StandardSemantics(NullSemantics):
     works because labelled nulls are hashable, distinct values."""
 
     name = "standard"
-
-    def match_aggregate(self, db, attributes, values):
-        attributes = (
-            list(attributes)
-            if attributes is not None
-            else db.quasi_identifiers
-        )
-        groups: Dict[Tuple, List[int]] = defaultdict(list)
-        for index in range(len(db)):
-            groups[db.qi_values(index, attributes)].append(index)
-        counts = [0] * len(db)
-        sums = [0.0] * len(db)
-        for members in groups.values():
-            total = len(members)
-            weight_sum = (
-                sum(values[i] for i in members) if values is not None else 0.0
-            )
-            for index in members:
-                counts[index] = total
-                sums[index] = weight_sum
-        return counts, sums
+    nulls_match = False
 
     def matches_combination(self, row, combination):
         return all(row[attribute] == value for attribute, value in combination)
@@ -145,90 +365,6 @@ class MaybeMatchSemantics(NullSemantics):
 
     name = "maybe-match"
 
-    def match_aggregate(self, db, attributes, values):
-        attributes = (
-            list(attributes)
-            if attributes is not None
-            else db.quasi_identifiers
-        )
-        n = len(db)
-        counts = [0] * n
-        sums = [0.0] * n
-        if not attributes or n == 0:
-            # Zero QIs: every row matches every row.
-            total_value = sum(values) if values is not None else 0.0
-            return [n] * n, [total_value] * n
-
-        width = len(attributes)
-        projections = list(map(_row_projector(attributes), db.rows))
-        bits = _mask_bits(width)
-        patterns: Dict[int, List[int]] = defaultdict(list)
-        for index, projection in enumerate(projections):
-            patterns[_null_mask(projection, bits)].append(index)
-        members = {
-            mask: [projections[i] for i in rows]
-            for mask, rows in patterns.items()
-        }
-
-        full = (1 << width) - 1
-        getters: Dict[int, Callable] = {}
-        # (mask, common) -> the mask's rows projected onto common: the
-        # join keys of both the query and the data side
-        keys: Dict[Tuple[int, int], List] = {}
-        # (data mask, common) -> (count by key, value sum by key)
-        indexes: Dict[Tuple[int, int], Tuple[Dict, Optional[Dict]]] = {}
-
-        def keys_of(mask: int, common: int) -> List:
-            found = keys.get((mask, common))
-            if found is None:
-                getter = getters.get(common)
-                if getter is None:
-                    getter = getters[common] = _common_getter(common, width)
-                found = keys[(mask, common)] = list(
-                    map(getter, members[mask])
-                )
-            return found
-
-        # For every ordered pattern pair (query mask, data mask), count
-        # for each query row how many data rows agree on the positions
-        # that are non-null on *both* sides; all others maybe-match.
-        for query_mask, query_rows in patterns.items():
-            row_counts = [0] * len(query_rows)
-            row_sums = [0.0] * len(query_rows)
-            for data_mask, data_rows in patterns.items():
-                common = full & ~(query_mask | data_mask)
-                index = indexes.get((data_mask, common))
-                if index is None:
-                    data_keys = keys_of(data_mask, common)
-                    if values is None:
-                        index = (Counter(data_keys), None)
-                    else:
-                        grouped: Dict[Any, List[float]] = defaultdict(list)
-                        for key, data_index in zip(data_keys, data_rows):
-                            grouped[key].append(values[data_index])
-                        index = (
-                            {k: len(v) for k, v in grouped.items()},
-                            {k: sum(v) for k, v in grouped.items()},
-                        )
-                    indexes[(data_mask, common)] = index
-                query_keys = keys_of(query_mask, common)
-                count_index, sum_index = index
-                row_counts = list(map(
-                    add, row_counts,
-                    map(count_index.get, query_keys, repeat(0)),
-                ))
-                if sum_index is not None:
-                    row_sums = list(map(
-                        add, row_sums,
-                        map(sum_index.get, query_keys, repeat(0.0)),
-                    ))
-            for query_index, count, value_sum in zip(
-                query_rows, row_counts, row_sums
-            ):
-                counts[query_index] = count
-                sums[query_index] = value_sum
-        return counts, sums
-
     def matches_combination(self, row, combination):
         for attribute, value in combination:
             cell = row[attribute]
@@ -237,8 +373,6 @@ class MaybeMatchSemantics(NullSemantics):
             if cell != value:
                 return False
         return True
-
-
 #: Default semantics used by the framework (the paper's choice).
 MAYBE_MATCH = MaybeMatchSemantics()
 STANDARD = StandardSemantics()

@@ -25,7 +25,7 @@ from repro.anonymize import (
     utility_weighted_loss,
 )
 from repro.errors import AnonymizationError
-from repro.model import MAYBE_MATCH, DomainHierarchy, is_suppressed
+from repro.model import DomainHierarchy, GroupIndex, is_suppressed
 from repro.risk import KAnonymityRisk
 from repro.vadalog.terms import LabelledNull, NullFactory
 
@@ -159,9 +159,7 @@ class TestQISelection:
         attribute leaves the sample-unique 'Textiles' in place
         (Section 4.4's worked example)."""
         selection = MostRiskyFirstSelection()
-        selection.prepare(
-            cities_db, cities_db.quasi_identifiers, MAYBE_MATCH
-        )
+        selection.prepare(GroupIndex(cities_db), [0])
         choice = selection.select(
             cities_db, 0, cities_db.quasi_identifiers
         )

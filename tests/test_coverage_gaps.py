@@ -26,9 +26,8 @@ class TestGroupTrackerStandardSemantics:
         tracker = GroupTracker(db, db.quasi_identifiers, STANDARD)
         for row, attribute in [(0, "Sector"), (5, "Area"),
                                (6, "Area")]:
-            old_key = tracker.before_change(row)
             method.apply(db, row, attribute, factory)
-            tracker.after_change(row, old_key)
+            tracker.after_change(row)
         expected = STANDARD.match_counts(db)
         for index in range(len(db)):
             count, _ = tracker.stats(index)
@@ -38,12 +37,21 @@ class TestGroupTrackerStandardSemantics:
                                                           cities_db):
         db = cities_db.copy()
         tracker = GroupTracker(db, db.quasi_identifiers, STANDARD)
-        old_key = tracker.before_change(0)
-        LocalSuppression().apply(db, 0, "Sector", NullFactory())
-        tracker.after_change(0, old_key)
-        # Under standard semantics a null is just another value: the
-        # tracker keeps the row in the exact counter, no null-row scan.
-        assert not tracker.null_rows
+        factory = NullFactory()
+        method = LocalSuppression()
+        # Rows 0 and 1 get the same attribute suppressed, so under
+        # maybe-match they would match each other.
+        for row in (0, 1):
+            method.apply(db, row, "Sector", factory)
+            tracker.after_change(row)
+        # Under standard semantics a null is just another value: a
+        # suppressed row matches only itself.
+        assert tracker.stats(0)[0] == 1
+        assert tracker.stats(1)[0] == 1
+        assert MAYBE_MATCH.match_counts(db)[0] > 1
+        expected = STANDARD.match_counts(db)
+        for index in range(len(db)):
+            assert tracker.stats(index)[0] == expected[index]
 
 
 class TestSurveyHierarchyCompleteness:

@@ -9,6 +9,7 @@ from repro.anonymize import (
     AnonymizationCycle,
     GroupTracker,
     LocalSuppression,
+    QISelection,
     RecodeThenSuppress,
     anonymize,
 )
@@ -189,9 +190,8 @@ class TestGroupTracker:
         db = cities_db.copy()
         tracker = GroupTracker(db, db.quasi_identifiers, MAYBE_MATCH)
         factory = NullFactory()
-        old_key = tracker.before_change(0)
         LocalSuppression().apply(db, 0, "Sector", factory)
-        tracker.after_change(0, old_key)
+        tracker.after_change(0)
         expected = MAYBE_MATCH.match_counts(db)
         for index in range(len(db)):
             count, _ = tracker.stats(index)
@@ -199,6 +199,9 @@ class TestGroupTracker:
 
     @given(
         st.sampled_from([MAYBE_MATCH, STANDARD]),
+        st.sampled_from([
+            None, [], ["Sector"], ["Area", "Employees"],
+        ]),
         st.lists(
             st.tuples(
                 st.integers(0, 6),
@@ -207,42 +210,118 @@ class TestGroupTracker:
                 ),
                 st.one_of(st.just(None), st.integers(0, 6)),
             ),
-            max_size=8,
+            max_size=10,
         ),
     )
     def test_tracker_consistency_under_random_edits(
-        self, semantics, edits
+        self, semantics, attributes, edits
     ):
-        """Property: after any sequence of suppressions and recodings
-        the tracker's per-row stats equal a fresh full computation.
-        An edit ``(row, attribute, None)`` suppresses the cell; ``(row,
-        attribute, j)`` recodes a constant cell to row j's constant in
-        that column, so a null-free row must be re-projected."""
+        """Property: after every edit of any sequence of suppressions
+        and recodings, the tracker's per-row stats and each QI's
+        leave-one-out count equal a fresh full computation, for all,
+        one or zero QIs.  An edit ``(row, attribute, None)`` suppresses
+        the cell; ``(row, attribute, j)`` recodes a constant cell to row
+        j's constant in that column, so a null-free row must be
+        re-projected.  Edits may hit attributes the tracker ignores."""
         from repro.data import city_fragment
 
         db = city_fragment()
-        tracker = GroupTracker(db, db.quasi_identifiers, semantics)
+        if attributes is None:
+            attributes = db.quasi_identifiers
+        tracker = GroupTracker(db, attributes, semantics)
         factory = NullFactory()
         method = LocalSuppression()
+        _assert_tracker_is_fresh(tracker, db, attributes, semantics)
         for row, attribute, source in edits:
             if attribute not in method.applicable_attributes(db, row):
                 continue
             value = None if source is None else db.rows[source][attribute]
             if is_suppressed(value):
                 continue  # recoding writes constants only
-            old_key = tracker.before_change(row)
             if source is None:
                 method.apply(db, row, attribute, factory)
             else:
                 db.with_value(row, attribute, value)
-            tracker.after_change(row, old_key)
-        expected_counts, expected_sums = semantics.match_aggregate(
-            db, db.quasi_identifiers, db.weights()
+            tracker.after_change(row)
+            _assert_tracker_is_fresh(tracker, db, attributes, semantics)
+
+
+def _assert_tracker_is_fresh(tracker, db, attributes, semantics):
+    expected_counts, expected_sums = semantics.match_aggregate(
+        db, attributes, db.weights()
+    )
+    for index in range(len(db)):
+        count, weight_sum = tracker.stats(index)
+        assert count == expected_counts[index]
+        assert weight_sum == pytest.approx(expected_sums[index])
+    for attribute in attributes:
+        remaining = [a for a in attributes if a != attribute]
+        expected = semantics.match_counts(db, remaining)
+        counts = tracker.index.counts_without(attribute, range(len(db)))
+        assert [counts[index] for index in range(len(db))] == expected
+
+
+class _PerQIRecount(QISelection):
+    """Most-risky-first as a fresh ``match_counts`` per QI at the start
+    of each iteration: the reference for the index-backed heuristic."""
+
+    def prepare(self, index, rows):
+        attributes = index.attributes
+        self.counts = {
+            attribute: MAYBE_MATCH.match_counts(
+                index.db, [a for a in attributes if a != attribute]
+            )
+            for attribute in attributes
+        }
+
+    def select(self, db, row, applicable):
+        return max(applicable, key=lambda a: self.counts[a][row])
+
+
+class _LiveCounts(QISelection):
+    """Most-risky-first on the counts at selection time, after the
+    pass's earlier steps."""
+
+    def prepare(self, index, rows):
+        self.index = index
+
+    def select(self, db, row, applicable):
+        return max(
+            applicable,
+            key=lambda a: self.index.counts_without(a, [row])[row],
         )
-        for index in range(len(db)):
-            count, weight_sum = tracker.stats(index)
-            assert count == expected_counts[index]
-            assert weight_sum == pytest.approx(expected_sums[index])
+
+
+class TestMostRiskyFirstSnapshot:
+    """Within a pass, most-risky-first chooses from the counts as they
+    were when the iteration started, even after an earlier step of the
+    same pass changed a later row's groups."""
+
+    @staticmethod
+    def steps(qi_selection):
+        rows = [("y", "q", "u"), ("x", "p", "u"), ("x", "p", "v")]
+        db = MicrodataDB(
+            "snapshot",
+            survey_schema(quasi_identifiers=["A", "B", "C"], weight="W"),
+            [
+                {"A": a, "B": b, "C": c, "W": weight}
+                for weight, (a, b, c) in enumerate(rows, start=1)
+            ],
+        )
+        result = anonymize(
+            db, KAnonymityRisk(k=2), LocalSuppression(),
+            qi_selection=qi_selection,
+        )
+        return [(step.row, step.attribute) for step in result.steps]
+
+    def test_uses_iteration_start_counts(self):
+        # Suppressing row 0's A first lifts row 1's count without B
+        # from 1 to 2.  At the start of the pass only C gave row 1 a
+        # group of 2, so row 1 still loses C.
+        steps = self.steps("most-risky-first")
+        assert steps == [(0, "A"), (1, "C"), (0, "B")]
+        assert steps == self.steps(_PerQIRecount())
+        assert steps != self.steps(_LiveCounts())
 
 
 # -- hypothesis: cycle-level invariants ---------------------------------------
