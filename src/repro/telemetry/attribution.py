@@ -3,7 +3,7 @@
 The chase engine records, per rule label, the wall time it spent
 *matching* the rule's body (``chase.match_ns{rule=}``) and *firing*
 matched bindings (``chase.fire_ns{rule=}``), next to the work counters
-it already kept (bindings enumerated, facts produced, labelled nulls
+it already kept (rows fired from, facts produced, labelled nulls
 invented) and the rule's stratum (``chase.rule_stratum{rule=}``).
 This module folds those instruments into one profile:
 

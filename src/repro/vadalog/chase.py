@@ -28,7 +28,6 @@ Semantics implemented here:
 
 from __future__ import annotations
 
-import os
 import time
 from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, \
@@ -234,28 +233,16 @@ class ChaseEngine:
         strict_egds: bool = False,
         null_factory: Optional[NullFactory] = None,
         termination: str = "restricted",
-        listener=None,
-        preflight: bool = False,
         analyze: bool = False,
-        heartbeat_interval: Optional[float] = None,
-        stall_threshold: Optional[float] = None,
+        heartbeat_interval: float = 0.0,
+        stall_threshold: float = 30.0,
     ):
         if termination not in ("restricted", "isomorphic"):
             raise EvaluationError(
                 f"unknown termination strategy {termination!r}; use "
                 "'restricted' or 'isomorphic'"
             )
-        if preflight:
-            # Engine-level escape hatch mirror of Program.run(preflight=):
-            # callers constructing an engine from bare rules can still
-            # ask for the static analyzer gate.
-            from .program import Program
-
-            Program(rules=rules, egds=egds).preflight()
         self.termination = termination
-        #: Optional audit hook: called as listener(rule_label, facts,
-        #: premises) for every successful firing that added facts.
-        self.listener = listener
         self.rules = list(rules)
         self.egds = list(egds)
         self.externals = externals or ExternalRegistry()
@@ -278,16 +265,8 @@ class ChaseEngine:
         # (gauges refresh every round regardless; 0 = every round) and
         # how long the chase may go without any rule firing before a
         # stall is reported.  Only consulted when telemetry is on.
-        self.heartbeat_interval = (
-            heartbeat_interval
-            if heartbeat_interval is not None
-            else float(os.environ.get("CHASE_HEARTBEAT_INTERVAL", "0"))
-        )
-        self.stall_threshold = (
-            stall_threshold
-            if stall_threshold is not None
-            else float(os.environ.get("CHASE_STALL_THRESHOLD", "30"))
-        )
+        self.heartbeat_interval = heartbeat_interval
+        self.stall_threshold = stall_threshold
         # id(rule) -> RulePlans; survives across run() calls so a
         # reused engine pays compilation once.
         self._plan_cache: Dict[int, RulePlans] = {}
@@ -658,19 +637,22 @@ class ChaseEngine:
         plans: RulePlans,
         store: FactStore,
         first_round: bool,
-        masks: Optional[List[MaskRecord]] = None,
     ):
         """Run every applicable plan as one batch pipeline over the
         whole frontier and return the non-empty batches.  All batches
         complete before any firing, so recursive rules never observe
-        their own additions mid-enumeration."""
-        track = self.provenance_enabled or self.listener is not None
+        their own additions mid-enumeration.  With telemetry on, rows
+        an expression error masked out are reported."""
         metrics = self._metrics
+        masks: Optional[List[MaskRecord]] = (
+            [] if (metrics is not None or self._events is not None)
+            else None
+        )
         batches = []
         for plan in self._applicable_plans(plans, store, first_round):
             analysis = self._analysis_for(plan) if self.analyze else None
             batch = execute_batch(
-                plan, rule, store, track_premises=track,
+                plan, rule, store, track_premises=self.provenance_enabled,
                 analysis=analysis, masks=masks,
             )
             if metrics is not None:
@@ -678,31 +660,23 @@ class ChaseEngine:
                 metrics.counter("chase.batch_rows").inc(batch.n)
             if batch.n:
                 batches.append(batch)
+        if masks:
+            self._report_masks(rule, masks)
         return batches
 
     def _enumerate_bindings(
-        self,
-        rule: Rule,
-        plans: RulePlans,
-        store: FactStore,
-        first_round: bool,
+        self, plans: RulePlans, batches
     ) -> List[_Binding]:
-        """Regular-body matches of one semi-naive rule application as a
-        deduplicated binding list: at least one positive regular literal
-        matches a delta fact (unless the rule has no regular positive
-        literal at all).
+        """The batches' rows as a deduplicated binding list for
+        per-binding firing: two rows that bind the rule's variables to
+        the same values count once.
 
         External atoms are NOT evaluated here — they run at firing
         time, after routing, so binding-order heuristics govern their
-        side effects.  Two matches that bind the rule's variables to
-        the same values count once."""
-        masks: Optional[List[MaskRecord]] = (
-            [] if (self._metrics is not None or self._events is not None)
-            else None
-        )
+        side effects."""
         results: List[_Binding] = []
         seen: Set[Tuple] = set()
-        for batch in self._execute(rule, plans, store, first_round, masks):
+        for batch in batches:
             cols = batch.cols
             key_cols = [cols[variable] for variable in plans.binds]
             for i in range(batch.n):
@@ -714,8 +688,6 @@ class ChaseEngine:
                     {var: col[i] for var, col in cols.items()},
                     batch.premises_row(i),
                 ))
-        if masks:
-            self._report_masks(rule, masks)
         return results
 
     def _report_masks(
@@ -742,21 +714,22 @@ class ChaseEngine:
                 )
 
     def _batch_fire_mode(self, rule: Rule) -> Optional[str]:
-        """Whether a telemetry-free application may fire straight from
-        batch columns: ``'facts'`` (bulk head firing), ``'aggregates'``
-        (deferred per-group emission) or None (row-at-a-time firing).
+        """How a FIFO-routed rule fires from its batch columns:
+        ``'facts'`` (bulk head firing), ``'aggregates'`` (deferred
+        per-group emission) or None (per-binding firing).  It depends
+        on the rule's shape alone, so it is computed once per rule.
 
-        Everything the bulk paths skip must be unobservable: no audit
-        listener, no externals (they expand at fire time under routing
-        order).  The facts path additionally needs ground heads (no
-        existentials — the restricted-chase image check is per-row);
-        the aggregate path needs no post-aggregate conditions
-        (per-binding firing checks them against intermediate values, an
-        order-dependent effect) and no aggregate input reading another
-        aggregate's target (per-binding firing evaluates later
-        aggregates with earlier targets already substituted).
-        Provenance does not matter: the aggregate path records one
-        derivation per group fact it adds."""
+        Everything the bulk paths skip must be unobservable: no
+        externals (they expand at fire time under routing order).  The
+        facts path additionally needs ground heads (no existentials —
+        the restricted-chase image check is per-row); the aggregate
+        path needs no post-aggregate conditions (per-binding firing
+        checks them against intermediate values, an order-dependent
+        effect) and no aggregate input reading another aggregate's
+        target (per-binding firing evaluates later aggregates with
+        earlier targets already substituted).  Provenance does not
+        matter: the aggregate path records one derivation per group
+        fact it adds."""
         mode = self._batch_fire_modes.get(id(rule))
         if mode is not None or id(rule) in self._batch_fire_modes:
             return mode
@@ -765,8 +738,6 @@ class ChaseEngine:
         return mode
 
     def _compute_batch_fire_mode(self, rule: Rule) -> Optional[str]:
-        if self.listener is not None:
-            return None
         if any(lit.atom.is_external for lit in rule.body):
             return None
         if rule.has_aggregates:
@@ -783,41 +754,19 @@ class ChaseEngine:
             return None
         return "facts"
 
-    def _apply_rule_batched(
-        self,
-        rule: Rule,
-        rule_index: int,
-        plans: RulePlans,
-        store: FactStore,
-        provenance: ProvenanceLog,
-        aggregate_states,
-        emitted_aggregates,
-        first_round: bool,
-        mode: str,
-    ) -> bool:
-        """Telemetry-free fast path: materialize every applicable
-        plan's batch, then fire straight from the columns."""
-        batches = self._execute(rule, plans, store, first_round)
-        if not batches:
-            return False
-        if mode == "aggregates":
-            return self._fire_aggregates_batched(
-                rule, rule_index, batches, store, provenance,
-                aggregate_states, emitted_aggregates,
-            )
-        return self._fire_facts_batched(rule, batches, store, provenance)
-
     def _fire_facts_batched(
         self,
         rule: Rule,
         batches,
         store: FactStore,
         provenance: ProvenanceLog,
+        firings: Optional[List[List[Fact]]],
     ) -> bool:
         """Bulk head firing for ground-head rules.  Duplicate bindings
         (within or across delta plans) need no dedup pass: the store
         add is idempotent and provenance records first-added atoms
-        only, exactly as the deduped row path would."""
+        only, exactly as the deduped row path would.  Each row that
+        adds facts is one firing, appended to ``firings`` when given."""
         head = rule.head
         label = rule.label
         track = self.provenance_enabled
@@ -826,6 +775,7 @@ class ChaseEngine:
             view = _RowView(batch.cols)
             for i in range(batch.n):
                 view.i = i
+                added = None
                 for atom in head:
                     fact = atom.substitute(view)
                     if not fact.is_ground:
@@ -839,6 +789,11 @@ class ChaseEngine:
                             provenance.record(
                                 fact, label, batch.premises_row(i)
                             )
+                        if firings is not None:
+                            if added is None:
+                                added = []
+                                firings.append(added)
+                            added.append(fact)
         return changed
 
     def _fire_aggregates_batched(
@@ -850,6 +805,7 @@ class ChaseEngine:
         provenance: ProvenanceLog,
         aggregate_states: Dict,
         emitted_aggregates: Dict,
+        firings: Optional[List[List[Fact]]],
     ) -> bool:
         """Deferred per-group aggregate emission: contribute every
         batch row, then emit each touched group's head atoms once with
@@ -865,7 +821,9 @@ class ChaseEngine:
         flag all match.
 
         With provenance on, each added group fact gets one derivation
-        whose premises are the group's last batch row."""
+        whose premises are the group's last batch row.  Each group
+        emission that adds facts is one firing, appended to
+        ``firings`` when given."""
         targets = {agg.target for agg in rule.aggregates}
         group_vars = sorted(
             (v for v in rule.head_variables() if v not in targets),
@@ -911,6 +869,7 @@ class ChaseEngine:
                 substitution[agg.target] = Constant(
                     state.value(group_key)
                 )
+            added = None
             for atom_index, atom in enumerate(rule.head):
                 grounded = atom.substitute(substitution)
                 if not grounded.is_ground:
@@ -936,6 +895,11 @@ class ChaseEngine:
                         batches[b].premises_row(row),
                         note="monotonic aggregate update",
                     )
+                if firings is not None:
+                    if added is None:
+                        added = []
+                        firings.append(added)
+                    added.append(grounded)
         return changed
 
     # -- rule application --------------------------------------------------
@@ -952,90 +916,124 @@ class ChaseEngine:
         emitted_aggregates,
         first_round: bool,
     ) -> bool:
+        """One semi-naive application of ``rule``: match every
+        applicable plan as a batch, then fire.  A FIFO-routed rule
+        whose shape allows it fires in bulk from the batch columns;
+        every other rule fires binding by binding in routing order.
+        Telemetry only observes the application (see
+        :meth:`_record_firings`); it never changes the path."""
         plans = self._plan_cache[id(rule)]
         metrics = self._metrics
-        if (
-            metrics is None
-            and self.routing.strategy_for(rule) is fifo_strategy
-        ):
-            # Telemetry-free bulk firing straight from the batch
-            # columns.  Metrics runs keep the two-phase enumerate/fire
-            # shape so match/fire attribution stays meaningful.
-            mode = self._batch_fire_mode(rule)
-            if mode is not None:
-                return self._apply_rule_batched(
-                    rule, rule_index, plans, store, provenance,
-                    aggregate_states, emitted_aggregates, first_round,
-                    mode,
-                )
-        if metrics is not None:
-            name = self._rule_names[id(rule)]
-            start = time.perf_counter_ns()
-            bindings = self._enumerate_bindings(
-                rule, plans, store, first_round
-            )
-            match_ns = time.perf_counter_ns() - start
-            metrics.histogram("chase.enumerate_bindings_ns").observe(
-                match_ns
-            )
-            metrics.histogram("chase.match_ns", rule=name).observe(
-                match_ns
-            )
-            if bindings:
-                metrics.counter("chase.bindings", rule=name).inc(
-                    len(bindings)
-                )
-        else:
-            bindings = self._enumerate_bindings(
-                rule, plans, store, first_round
-            )
-        if not bindings:
-            return False
-        # Routing orders the regular-body bindings BEFORE externals run,
-        # so side-effecting externals (#anonymize) observe the paper's
-        # heuristics ("less significant first", Section 4.4).
-        ordered = self.routing.order(
-            rule, [b.substitution for b in bindings]
-        )
-        premises_of: Dict[int, List[Fact]] = {
-            id(b.substitution): b.premises for b in bindings
-        }
-        external_literals = [
-            lit for lit in rule.body if lit.atom.is_external
-        ]
-        changed = False
+        start = time.perf_counter_ns() if metrics is not None else 0
+        batches = self._execute(rule, plans, store, first_round)
         fire_start = time.perf_counter_ns() if metrics is not None else 0
-        for substitution in ordered:
-            premises = premises_of.get(id(substitution), [])
-            for full in self._expand_externals(
-                plans.deferred, external_literals, substitution, context
-            ):
-                if rule.has_aggregates:
-                    fired = self._fire_with_aggregates(
-                        rule,
-                        rule_index,
-                        full,
-                        premises,
-                        store,
-                        provenance,
-                        aggregate_states,
-                        emitted_aggregates,
-                    )
-                else:
-                    fired = self._fire(
-                        rule,
-                        full,
-                        premises,
-                        store,
-                        provenance,
-                        null_factory,
-                    )
-                changed = fired or changed
         if metrics is not None:
             metrics.histogram(
-                "chase.fire_ns", rule=self._rule_names[id(rule)]
-            ).observe(time.perf_counter_ns() - fire_start)
+                "chase.match_ns", rule=self._rule_names[id(rule)]
+            ).observe(fire_start - start)
+        if not batches:
+            return False
+        # One list of added facts per firing that added any; collected
+        # only while telemetry observes the run.
+        firings: Optional[List[List[Fact]]] = (
+            [] if (metrics is not None or self._events is not None)
+            else None
+        )
+        mode = (
+            self._batch_fire_mode(rule)
+            if self.routing.strategy_for(rule) is fifo_strategy
+            else None
+        )
+        if mode == "facts":
+            rows = sum(batch.n for batch in batches)
+            changed = self._fire_facts_batched(
+                rule, batches, store, provenance, firings
+            )
+        elif mode == "aggregates":
+            rows = sum(batch.n for batch in batches)
+            changed = self._fire_aggregates_batched(
+                rule, rule_index, batches, store, provenance,
+                aggregate_states, emitted_aggregates, firings,
+            )
+        else:
+            bindings = self._enumerate_bindings(plans, batches)
+            rows = len(bindings)
+            # Routing orders the regular-body bindings BEFORE externals
+            # run, so side-effecting externals (#anonymize) observe the
+            # paper's heuristics ("less significant first", Section
+            # 4.4).
+            ordered = self.routing.order(
+                rule, [b.substitution for b in bindings]
+            )
+            premises_of: Dict[int, List[Fact]] = {
+                id(b.substitution): b.premises for b in bindings
+            }
+            external_literals = [
+                lit for lit in rule.body if lit.atom.is_external
+            ]
+            changed = False
+            for substitution in ordered:
+                premises = premises_of.get(id(substitution), [])
+                for full in self._expand_externals(
+                    plans.deferred, external_literals, substitution,
+                    context,
+                ):
+                    if rule.has_aggregates:
+                        added = self._fire_with_aggregates(
+                            rule, rule_index, full, premises, store,
+                            provenance, aggregate_states,
+                            emitted_aggregates,
+                        )
+                    else:
+                        added = self._fire(
+                            rule, full, premises, store, provenance,
+                            null_factory,
+                        )
+                    if added:
+                        changed = True
+                        if firings is not None:
+                            firings.append(added)
+        if firings is not None:
+            self._record_firings(rule, rows, firings, fire_start)
         return changed
+
+    def _record_firings(
+        self,
+        rule: Rule,
+        rows: int,
+        firings: List[List[Fact]],
+        fire_start: int,
+    ) -> None:
+        """Per-rule telemetry of one rule application, whichever path
+        fired it: the fire time, the rows it fired from (batch rows in
+        bulk, deduplicated bindings per binding), the firings that
+        added facts (a bulk row, a binding or a group emission) with
+        their facts, and one ``derive`` decision event per firing."""
+        name = self._rule_names[id(rule)]
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.histogram("chase.fire_ns", rule=name).observe(
+                time.perf_counter_ns() - fire_start
+            )
+            metrics.counter("chase.bindings", rule=name).inc(rows)
+            if firings:
+                metrics.counter("chase.rule_firings", rule=name).inc(
+                    len(firings)
+                )
+                metrics.counter("chase.new_facts", rule=name).inc(
+                    sum(map(len, firings))
+                )
+        if self._events is not None:
+            for added in firings:
+                self._events.emit(
+                    "decision",
+                    kind="derive",
+                    rule=name,
+                    stratum=self._stratum_index,
+                    round=self._round,
+                    facts=len(added),
+                    derived=[str(atom) for atom in added[:5]],
+                )
 
     def _expand_externals(
         self,
@@ -1074,40 +1072,19 @@ class ChaseEngine:
         store: FactStore,
         provenance: ProvenanceLog,
         null_factory: NullFactory,
-    ) -> bool:
+    ) -> List[Fact]:
+        """Fire one binding; returns the head facts it added."""
         head_atoms = self._instantiate_head(
             rule, substitution, null_factory, store
         )
         if head_atoms is None:
-            return False
-        changed = False
+            return []
         added = []
         for atom in head_atoms:
             if store.add(atom):
-                changed = True
                 added.append(atom)
                 provenance.record(atom, rule.label, premises)
-        if added:
-            metrics = self._metrics
-            if metrics is not None:
-                name = self._rule_names.get(id(rule), rule.label or "?")
-                metrics.counter("chase.rule_firings", rule=name).inc()
-                metrics.counter(
-                    "chase.new_facts", rule=name
-                ).inc(len(added))
-            if self._events is not None:
-                self._events.emit(
-                    "decision",
-                    kind="derive",
-                    rule=self._rule_names.get(id(rule), rule.label or "?"),
-                    stratum=self._stratum_index,
-                    round=self._round,
-                    facts=len(added),
-                    derived=[str(atom) for atom in added[:5]],
-                )
-            if self.listener is not None:
-                self.listener(rule.label, added, list(premises))
-        return changed
+        return added
 
     def _instantiate_head(
         self,
@@ -1176,9 +1153,10 @@ class ChaseEngine:
         provenance: ProvenanceLog,
         aggregate_states: Dict,
         emitted_aggregates: Dict,
-    ) -> bool:
+    ) -> List[Fact]:
         """Contribute this binding to the rule's aggregates, and emit
-        (or update) head facts with the current aggregate values."""
+        (or update) head facts with the current aggregate values;
+        returns the head facts it added."""
         # Group key: every head variable that is not an aggregate target.
         targets = {agg.target for agg in rule.aggregates}
         group_vars = sorted(
@@ -1194,7 +1172,6 @@ class ChaseEngine:
             ) from exc
 
         substitution = dict(substitution)
-        any_change = False
         for agg_index, agg in enumerate(rule.aggregates):
             state_key = (rule_index, agg_index)
             state = aggregate_states.get(state_key)
@@ -1208,32 +1185,19 @@ class ChaseEngine:
                 contribution = agg.argument.evaluate(substitution)
             else:
                 contribution = 1
-            changed, value = state.contribute(
+            _, value = state.contribute(
                 group_key, contributor, contribution
             )
-            if self._metrics is not None:
-                name = self._rule_names.get(id(rule), rule.label or "?")
-                self._metrics.counter(
-                    "chase.aggregate_contributions", rule=name
-                ).inc()
-                if changed:
-                    self._metrics.counter(
-                        "chase.aggregate_updates", rule=name
-                    ).inc()
-            any_change = any_change or changed
             substitution[agg.target] = Constant(value)
 
         # Post-aggregate conditions (e.g. msum(...) > 0.5).
         for condition in rule.conditions:
-            if any(
-                v in {a.target for a in rule.aggregates}
-                for v in condition.variables()
-            ):
+            if targets & set(condition.variables()):
                 if not condition.holds(substitution):
-                    return False
+                    return []
 
         head_atoms = [atom.substitute(substitution) for atom in rule.head]
-        emitted_change = False
+        added = []
         for atom_index, atom in enumerate(head_atoms):
             if not atom.is_ground:
                 raise EvaluationError(
@@ -1248,7 +1212,7 @@ class ChaseEngine:
                 store.retract(previous)
                 del emitted_aggregates[emit_key]
             if store.add(atom):
-                emitted_change = True
+                added.append(atom)
                 provenance.record(
                     atom,
                     rule.label,
@@ -1256,7 +1220,4 @@ class ChaseEngine:
                     note="monotonic aggregate update",
                 )
                 emitted_aggregates[emit_key] = atom
-        if emitted_change and self._metrics is not None:
-            name = self._rule_names.get(id(rule), rule.label or "?")
-            self._metrics.counter("chase.rule_firings", rule=name).inc()
-        return emitted_change
+        return added

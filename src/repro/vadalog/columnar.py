@@ -500,9 +500,8 @@ class Batch:
     """Parallel columns for the rows surviving a plan prefix.
 
     ``cols`` maps every bound variable to a list of terms (length
-    ``n``); ``premises`` — tracked only when provenance or an audit
-    listener needs them — holds one fact column per completed scan
-    step, in plan order.
+    ``n``); ``premises`` — tracked only when provenance needs them —
+    holds one fact column per completed scan step, in plan order.
     """
 
     __slots__ = ("n", "cols", "premises")

@@ -155,7 +155,6 @@ class Program:
         max_rounds: int = 10_000,
         max_facts: int = 5_000_000,
         termination: str = "restricted",
-        listener=None,
         preflight: bool = True,
         analyze: bool = False,
     ) -> ChaseResult:
@@ -192,7 +191,6 @@ class Program:
             max_rounds=max_rounds,
             max_facts=max_facts,
             termination=termination,
-            listener=listener,
             analyze=analyze,
         )
         return engine.run(store)

@@ -370,6 +370,19 @@ class TestProvenanceJoin:
             chain = result.provenance.rule_chain(fact, max_depth=2)
             assert len(chain) <= 2
 
+    def test_live_derive_events_ground_every_risk_row(
+        self, cities_db, tmp_path
+    ):
+        path = tmp_path / "risk.jsonl"
+        telemetry.enable(events_path=str(path))
+        result = self.risk_run(cities_db)
+        telemetry.disable()
+        ledger = AuditLedger.replay(str(path))
+        rows = [int(i) for i, _ in result.tuples("riskOutput")]
+        assert rows
+        for row in rows:
+            assert ledger.risk_rule_chain(row), f"row {row} ungrounded"
+
     def test_derive_events_ground_rows_through_replay(self, tmp_path):
         path = tmp_path / "derive.jsonl"
         telemetry.enable(events_path=str(path))

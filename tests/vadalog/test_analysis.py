@@ -25,7 +25,6 @@ from repro.testing.conformance import ConformanceOutcome, run_one
 from repro.testing.generator import generate_program
 from repro.vadalog import Program, analyze
 from repro.vadalog.atoms import Atom, Condition, Literal
-from repro.vadalog.chase import ChaseEngine
 from repro.vadalog.expressions import BinOp, Lit, VarRef
 from repro.vadalog.rules import Rule
 from repro.vadalog.terms import Constant, Variable
@@ -359,12 +358,6 @@ class TestPreflight:
         program = Program.parse(self.DIRTY)
         with pytest.raises(StratificationError):
             program.run(preflight=False)
-
-    def test_chase_engine_preflight_opt_in(self):
-        program = Program.parse(self.DIRTY)
-        with pytest.raises(StaticAnalysisError):
-            ChaseEngine(program.rules, preflight=True)
-        ChaseEngine(program.rules)  # default stays permissive
 
     def test_clean_program_runs(self):
         program = Program.parse('@output("p").\np(X) :- b(X).\nb(1).')

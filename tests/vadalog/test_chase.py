@@ -3,6 +3,7 @@ negation, aggregation, externals, routing, provenance."""
 
 import pytest
 
+from repro import telemetry
 from repro.errors import (
     EvaluationError,
     StaticAnalysisError,
@@ -15,6 +16,7 @@ from repro.vadalog import (
     boolean_external,
 )
 from repro.vadalog.atoms import Atom
+from repro.vadalog.chase import ChaseEngine
 from repro.vadalog.routing import sort_by_variable
 from repro.vadalog.terms import LabelledNull
 
@@ -372,3 +374,76 @@ class TestGuards:
         )
         with pytest.raises(EvaluationError):
             program.run(max_facts=500)
+
+
+class TestTelemetryObserves:
+    """Telemetry records what a rule application did, whichever firing
+    path the rule's shape and routing chose, and never picks the path
+    itself."""
+
+    GROUND = (
+        'edge(a, b). edge(b, c).\n@label("base").\n'
+        "path(X, Y) :- edge(X, Y).\n@label(\"step\").\n"
+        "path(X, Z) :- path(X, Y), edge(Y, Z).\n"
+    )
+    AGGREGATE = (
+        'e(a, 1). e(a, 2). e(b, 1).\n@label("agg").\n'
+        "c(X, N) :- e(X, Y), N = mcount(1, <Y>).\n"
+    )
+    # A condition on the aggregate target makes the rule fire binding
+    # by binding.
+    AGGREGATE_PER_BINDING = (
+        'e(a, 1). e(a, 2). e(b, 1).\n@label("agg").\n'
+        "c(X, N) :- e(X, Y), N = mcount(1, <Y>), N > 0.\n"
+    )
+
+    @pytest.fixture(autouse=True)
+    def clean_telemetry(self):
+        telemetry.disable()
+        telemetry.reset()
+        yield
+        telemetry.disable()
+        telemetry.reset()
+
+    @pytest.mark.parametrize(
+        "source, firings",
+        [(AGGREGATE, 2), (AGGREGATE_PER_BINDING, 3)],
+        ids=["bulk", "per-binding"],
+    )
+    def test_aggregate_rule_reports_its_facts(self, source, firings):
+        """Bulk firing counts one firing per group emission, per-binding
+        firing one per binding that replaced the group's fact."""
+        telemetry.enable(events=True)
+        result = Program.parse(source).run()
+        counters = result.stats["telemetry"]["counters"]
+        assert counters["chase.rule_firings{rule=agg}"] == firings
+        assert counters["chase.new_facts{rule=agg}"] == firings
+        assert counters["chase.bindings{rule=agg}"] == 3
+        derived = [
+            fact
+            for event in telemetry.events().tail("decision")
+            if event["payload"]["kind"] == "derive"
+            and event["payload"]["rule"] == "agg"
+            for fact in event["payload"]["derived"]
+        ]
+        assert len(derived) == firings
+        assert {str(fact) for fact in result.facts("c")} <= set(derived)
+
+    def test_bulk_rules_never_enumerate_bindings_when_observed(
+        self, monkeypatch
+    ):
+        def per_binding(*args, **kwargs):
+            raise AssertionError("rule fired binding by binding")
+
+        expected = {
+            source: set(Program.parse(source).run().facts())
+            for source in (self.GROUND, self.AGGREGATE)
+        }
+        monkeypatch.setattr(
+            ChaseEngine, "_enumerate_bindings", per_binding
+        )
+        telemetry.enable(events=True)
+        for source, facts in expected.items():
+            assert set(Program.parse(source).run().facts()) == facts
+        with pytest.raises(AssertionError, match="binding by binding"):
+            Program.parse(self.AGGREGATE_PER_BINDING).run()

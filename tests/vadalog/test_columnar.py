@@ -19,6 +19,7 @@ from repro.vadalog.atoms import Atom
 from repro.vadalog.columnar import TermDictionary
 from repro.vadalog.database import FactStore
 from repro.vadalog.reference import naive_chase
+from repro.vadalog.routing import RoutingTable
 from repro.vadalog.terms import Constant, LabelledNull, wrap_tuple
 
 
@@ -207,17 +208,21 @@ class TestFrontierInvariants:
 # binding-by-binding firing.
 
 
+def in_discovery_order(rule, bindings):
+    """FIFO order under another name: any strategy other than
+    ``fifo_strategy`` makes every rule fire binding by binding."""
+    return list(bindings)
+
+
 class TestBulkVsPerBindingFiring:
     MAX_ROUNDS = 400
     MAX_FACTS = 4_000
 
-    def _run(self, program, traced):
-        # Telemetry switches rule application from bulk firing to
-        # per-binding firing; nothing else about the run changes.
-        if traced:
-            telemetry.enable()
+    def _run(self, program, per_binding):
+        routing = RoutingTable(in_discovery_order) if per_binding else None
         try:
             result = program.run(
+                routing=routing,
                 provenance=True,
                 max_rounds=self.MAX_ROUNDS,
                 max_facts=self.MAX_FACTS,
@@ -225,9 +230,6 @@ class TestBulkVsPerBindingFiring:
             )
         except Exception as exc:  # noqa: BLE001 — crashes compared too
             return ("error", type(exc).__name__)
-        finally:
-            telemetry.disable()
-            telemetry.reset()
         facts = frozenset(result.facts())
         # A replaced aggregate fact keeps its derivation, and the
         # per-binding path replaces more of them, so count only the
@@ -256,8 +258,8 @@ class TestBulkVsPerBindingFiring:
         if not aggregates:
             config.p_aggregate = 0.0
         program = generate_program(rng, config)
-        bulk = self._run(program, traced=False)
-        per_binding = self._run(program, traced=True)
+        bulk = self._run(program, per_binding=False)
+        per_binding = self._run(program, per_binding=True)
         assert bulk == per_binding, (
             f"bulk {bulk[:2]} != per-binding {per_binding[:2]}\n"
             f"{program.to_source()}"

@@ -99,39 +99,3 @@ class TestIntrospection:
         program = Program.parse("p(X) :- e(X).")
         result = program.run([Atom.of("e", 7)])
         assert result.tuples("p") == [(7,)]
-
-
-class TestFiringListener:
-    def test_listener_sees_every_derivation(self):
-        program = Program.parse(
-            """
-            edge(a, b). edge(b, c).
-            @label("base"). path(X, Y) :- edge(X, Y).
-            @label("step"). path(X, Z) :- path(X, Y), edge(Y, Z).
-            """
-        )
-        events = []
-        program.run(
-            listener=lambda label, facts, premises: events.append(
-                (label, [str(f) for f in facts], len(premises))
-            )
-        )
-        labels = [label for label, _, _ in events]
-        assert labels.count("base") == 2
-        assert labels.count("step") == 1
-        step_event = next(e for e in events if e[0] == "step")
-        assert step_event[2] == 2  # path + edge premises
-
-    def test_listener_not_called_for_duplicates(self):
-        program = Program.parse(
-            """
-            e(1).
-            p(X) :- e(X).
-            p(X) :- e(X), X > 0.
-            """
-        )
-        events = []
-        program.run(
-            listener=lambda label, facts, premises: events.append(facts)
-        )
-        assert len(events) == 1
