@@ -9,7 +9,9 @@ and narrow candidates — the composition problem.
 :func:`composition_links` joins two (possibly anonymized) microdata DBs
 on their common quasi-identifiers under maybe-match semantics (a
 suppressed cell on either side is a wildcard) and reports, per row of
-the first release, how many rows of the second are compatible.
+the first release, how many rows of the second are compatible: each
+first-release row probes one :class:`~repro.model.nulls.GroupIndex` of
+the second.
 :func:`composition_risk` turns that into a per-row score (1/|matches|,
 0 when nothing links), and :func:`unique_links` lists the dangerous
 one-to-one bridges.
@@ -17,12 +19,11 @@ one-to-one bridges.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
 
 
 def shared_quasi_identifiers(
@@ -40,7 +41,8 @@ def composition_links(
     semantics: NullSemantics = MAYBE_MATCH,
 ) -> List[int]:
     """Per row of ``first``: the number of ``second`` rows compatible
-    on the join attributes under the given null semantics."""
+    on the join attributes under the given null semantics (a
+    :meth:`GroupIndex.probe` of the second release's index)."""
     if attributes is None:
         attributes = shared_quasi_identifiers(first, second)
     attributes = list(attributes)
@@ -48,41 +50,8 @@ def composition_links(
         raise ReproError(
             "the two releases share no quasi-identifier to join on"
         )
-    # Index the exact (null-free) rows of the second release; null rows
-    # are checked one by one (they are the anonymized minority).
-    exact_index: Dict[Tuple, int] = defaultdict(int)
-    null_rows: List[int] = []
-    for index in range(len(second)):
-        row = second.rows[index]
-        if any(is_suppressed(row[a]) for a in attributes):
-            null_rows.append(index)
-        else:
-            exact_index[tuple(row[a] for a in attributes)] += 1
-
-    counts: List[int] = []
-    for index in range(len(first)):
-        row = first.rows[index]
-        combination = [(a, row[a]) for a in attributes]
-        if any(is_suppressed(value) for _, value in combination):
-            # Wildcarded probe: fall back to a scan of the second side.
-            matches = sum(
-                1
-                for other in range(len(second))
-                if semantics.matches_combination(
-                    second.rows[other], combination
-                )
-            )
-        else:
-            matches = exact_index.get(
-                tuple(value for _, value in combination), 0
-            )
-            for other in null_rows:
-                if semantics.matches_combination(
-                    second.rows[other], combination
-                ):
-                    matches += 1
-        counts.append(matches)
-    return counts
+    index = GroupIndex(second, attributes, nulls_match=semantics.nulls_match)
+    return [index.probe(row)[0] for row in first.rows]
 
 
 def composition_risk(

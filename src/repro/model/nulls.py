@@ -31,9 +31,17 @@ edited row and adjusts only the groups already built for its old and
 new mask, so the anonymization cycle keeps one index for a whole run
 (the contributor-based reading of the paper's monotonic aggregation).
 :meth:`GroupIndex.aggregate` answers every row at once, one hash join
-per (query mask, data mask) pair.  The work stays near-linear while
-masks are few — which holds during anonymization, where suppression
-introduces nulls sparsely.
+per (query mask, data mask) pair.  The same join serves
+:meth:`GroupIndex.value_counts`, each row's multiset of another column
+over its matching rows (the sensitive values of l-diversity and
+t-closeness), and :meth:`GroupIndex.probe` answers a row that is not in
+the index (a row of another release, for composition attacks).  The
+work stays near-linear while masks are few — which holds during
+anonymization, where suppression introduces nulls sparsely.
+
+:meth:`NullSemantics.matches_combination` is the row-by-row definition
+of =⊥; the index is tested against it, and the engine path's ``#risk``
+external counts with it.
 """
 
 from __future__ import annotations
@@ -181,11 +189,25 @@ class GroupIndex:
         built[common] = group
         return group
 
+    def _mask(self, projection: Tuple) -> int:
+        """A projection's null bitmask (always 0 under standard
+        semantics)."""
+        if not self._nulls_match:
+            return 0
+        return _null_masks([projection], self._bits)[0]
+
     def lookup(self, row: int) -> Tuple[int, float]:
         """(=⊥-match count, matched value sum) of one row at the
         current state."""
-        query = self._masks[row]
-        projection = self._projections[row]
+        return self._probe(self._projections[row], self._masks[row])
+
+    def probe(self, row: Dict[str, Any]) -> Tuple[int, float]:
+        """(=⊥-match count, matched value sum) of a row that is not in
+        the index, e.g. a row of another release."""
+        projection = self._project(row)
+        return self._probe(projection, self._mask(projection))
+
+    def _probe(self, projection: Tuple, query: int) -> Tuple[int, float]:
         full = self._full
         count = 0
         total = 0.0
@@ -222,10 +244,7 @@ class GroupIndex:
             self._groups.pop(old_mask, None)
 
         projection = self._project(self.db.rows[row])
-        mask = (
-            _null_masks([projection], self._bits)[0]
-            if self._nulls_match else 0
-        )
+        mask = self._mask(projection)
         self._projections[row] = projection
         self._masks[row] = mask
         members = self._members.get(mask)
@@ -264,6 +283,30 @@ class GroupIndex:
                 counts[row] = count
                 sums[row] = value_sum
         return counts, sums
+
+    def value_counts(self, column: Sequence[Any]) -> List[Counter]:
+        """Each row's Counter of ``column`` (one value per row) over its
+        =⊥-matching rows: for every (query mask, data mask) pair, the
+        data rows' values counted by key on ``common`` are added to the
+        query rows with that key."""
+        full = self._full
+        counters: List[Counter] = [Counter() for _ in self._masks]
+        for query_mask, query_rows in self._members.items():
+            for data_mask, data_rows in self._members.items():
+                common = full & ~(query_mask | data_mask)
+                by_key: Dict[Any, Counter] = {}
+                for key, row in zip(self._keys(data_rows, common), data_rows):
+                    values = by_key.get(key)
+                    if values is None:
+                        values = by_key[key] = Counter()
+                    values[column[row]] += 1
+                for key, row in zip(
+                    self._keys(query_rows, common), query_rows
+                ):
+                    values = by_key.get(key)
+                    if values is not None:
+                        counters[row].update(values)
+        return counters
 
     def _join(
         self, queries: Dict[int, Iterable[int]], sums: bool
@@ -345,7 +388,7 @@ class NullSemantics:
         self, row: Dict[str, Any], combination: Sequence[Tuple[str, Any]]
     ) -> bool:
         """Does the row =⊥-match a partial combination of (attribute,
-        value) pairs?  Used by SUDA's sample-unique detection."""
+        value) pairs?  The definition the grouping is tested against."""
         raise NotImplementedError
 
 

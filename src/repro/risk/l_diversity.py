@@ -13,16 +13,17 @@ is confidential even if the firm stays anonymous).  The measure is
 registered like any other plug-in and runs in the anonymization cycle;
 suppression enlarges groups, which can only add sensitive values, so
 the cycle converges under maybe-match semantics like k-anonymity does.
+Each row's group values come from the same :class:`GroupIndex` join
+that serves k-anonymity, under either null semantics.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics, StandardSemantics
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -32,53 +33,11 @@ def sensitive_diversity(
     attributes: Sequence[str],
     semantics: NullSemantics = MAYBE_MATCH,
 ) -> List[int]:
-    """Per row: distinct sensitive values among its =⊥-matching rows."""
-    n = len(db)
-    if isinstance(semantics, StandardSemantics):
-        groups: Dict[Tuple, Set[Any]] = defaultdict(set)
-        keys = []
-        for index in range(n):
-            key = tuple(db.rows[index][a] for a in attributes)
-            keys.append(key)
-            groups[key].add(db.rows[index][sensitive])
-        return [len(groups[keys[index]]) for index in range(n)]
-
-    # Maybe-match: group membership is per-row; reuse the pattern-join
-    # trick only for the common no-null case, scanning for null rows.
-    null_rows = [
-        index
-        for index in range(n)
-        if any(is_suppressed(db.rows[index][a]) for a in attributes)
-    ]
-    exact_values: Dict[Tuple, Set[Any]] = defaultdict(set)
-    for index in range(n):
-        if index in set(null_rows):
-            continue
-        key = tuple(db.rows[index][a] for a in attributes)
-        exact_values[key].add(db.rows[index][sensitive])
-
-    diversities = []
-    for index in range(n):
-        row = db.rows[index]
-        combination = [(a, row[a]) for a in attributes]
-        if any(is_suppressed(value) for _, value in combination):
-            values = {
-                db.rows[other][sensitive]
-                for other in range(n)
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                )
-            }
-        else:
-            key = tuple(value for _, value in combination)
-            values = set(exact_values.get(key, set()))
-            for other in null_rows:
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                ):
-                    values.add(db.rows[other][sensitive])
-        diversities.append(len(values))
-    return diversities
+    """Per row: distinct sensitive values among its =⊥-matching rows,
+    read from the :class:`GroupIndex` value multisets."""
+    index = GroupIndex(db, attributes, nulls_match=semantics.nulls_match)
+    column = [row[sensitive] for row in db.rows]
+    return [len(values) for values in index.value_counts(column)]
 
 
 @register_measure

@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, MaybeMatchSemantics, NullSemantics
+from ..model.nulls import MAYBE_MATCH, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -71,7 +71,7 @@ def find_minimal_sample_uniques(
     columns = [[row[a] for row in db.rows] for a in attributes]
     # Bit p of a row's mask is set when the row is null on attribute p.
     masks = [0] * n
-    if isinstance(semantics, MaybeMatchSemantics) and n > 1:
+    if semantics.nulls_match and n > 1:
         for position, column in enumerate(columns):
             for index, value in enumerate(column):
                 if is_suppressed(value):

@@ -12,18 +12,20 @@ its =⊥-group's sensitive distribution and the global distribution
 exceeds ``t``.  (The original paper uses Earth Mover's Distance with a
 ground metric; for the categorical sensitive attributes of survey
 microdata TV — EMD under the discrete metric — is the standard
-instantiation.)
+instantiation.)  Each row's group distribution is read from the same
+:class:`GroupIndex` join that serves k-anonymity, under either null
+semantics.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..anonymize.utility import total_variation
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics, StandardSemantics
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -41,62 +43,15 @@ def group_closeness(
     semantics: NullSemantics = MAYBE_MATCH,
 ) -> List[float]:
     """Per row: TV distance between the sensitive distribution of its
-    =⊥-group and the global sensitive distribution."""
-    n = len(db)
-    global_distribution = _distribution(
-        Counter(db.rows[index][sensitive] for index in range(n))
-    )
-
-    if isinstance(semantics, StandardSemantics):
-        groups: Dict[Tuple, Counter] = defaultdict(Counter)
-        keys = []
-        for index in range(n):
-            key = tuple(db.rows[index][a] for a in attributes)
-            keys.append(key)
-            groups[key][db.rows[index][sensitive]] += 1
-        cache = {
-            key: total_variation(_distribution(counter),
-                                 global_distribution)
-            for key, counter in groups.items()
-        }
-        return [cache[keys[index]] for index in range(n)]
-
-    null_rows = [
-        index
-        for index in range(n)
-        if any(is_suppressed(db.rows[index][a]) for a in attributes)
+    =⊥-group (a :class:`GroupIndex` value multiset) and the global
+    sensitive distribution."""
+    index = GroupIndex(db, attributes, nulls_match=semantics.nulls_match)
+    column = [row[sensitive] for row in db.rows]
+    global_distribution = _distribution(Counter(column))
+    return [
+        total_variation(_distribution(values), global_distribution)
+        for values in index.value_counts(column)
     ]
-    exact_groups: Dict[Tuple, Counter] = defaultdict(Counter)
-    null_set = set(null_rows)
-    for index in range(n):
-        if index in null_set:
-            continue
-        key = tuple(db.rows[index][a] for a in attributes)
-        exact_groups[key][db.rows[index][sensitive]] += 1
-
-    distances = []
-    for index in range(n):
-        row = db.rows[index]
-        combination = [(a, row[a]) for a in attributes]
-        if any(is_suppressed(value) for _, value in combination):
-            counter: Counter = Counter()
-            for other in range(n):
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                ):
-                    counter[db.rows[other][sensitive]] += 1
-        else:
-            key = tuple(value for _, value in combination)
-            counter = Counter(exact_groups.get(key, Counter()))
-            for other in null_rows:
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                ):
-                    counter[db.rows[other][sensitive]] += 1
-        distances.append(
-            total_variation(_distribution(counter), global_distribution)
-        )
-    return distances
 
 
 @register_measure

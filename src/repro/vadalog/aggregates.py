@@ -165,9 +165,5 @@ class AggregateState:
     def groups(self):
         return self._groups.keys()
 
-    def contributor_count(self, group_key: Hashable) -> int:
-        group = self._groups.get(group_key)
-        return len(group.contributions) if group else 0
-
     def clear(self) -> None:
         self._groups.clear()

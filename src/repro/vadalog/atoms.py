@@ -221,13 +221,3 @@ class Annotation(tuple):
 def project(atom: Atom, positions: Iterable[int]) -> Tuple[Term, ...]:
     """Project an atom's terms onto the given positions."""
     return tuple(atom.terms[i] for i in positions)
-
-
-def rename_apart(atom: Atom, suffix: str) -> Atom:
-    """Rename every variable in the atom by appending ``suffix`` —
-    used to keep rules variable-disjoint when composing programs."""
-    renamed = tuple(
-        Variable(t.name + suffix) if isinstance(t, Variable) else t
-        for t in atom.terms
-    )
-    return Atom(atom.predicate, renamed)

@@ -66,10 +66,6 @@ class AggregateSpec:
         self.argument = argument
         self.contributors = tuple(contributors)
 
-    @property
-    def combine_mode(self) -> str:
-        return AGGREGATE_FUNCTIONS[self.function]
-
     def variables(self):
         yield self.target
         if self.argument is not None:
@@ -161,10 +157,6 @@ class Rule:
         or aggregates — satisfied with fresh labelled nulls."""
         bound = self.body_variables() | self.derived_variables()
         return {v for v in self.head_variables() if v not in bound}
-
-    @property
-    def is_existential(self) -> bool:
-        return bool(self.existential_variables())
 
     @property
     def has_aggregates(self) -> bool:

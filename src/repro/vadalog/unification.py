@@ -208,8 +208,3 @@ def _joint_image_search(
         for null in extension:
             mapping.pop(null, None)
     return False
-
-
-def apply_substitution(atom: Atom, bindings: Substitution) -> Atom:
-    """Alias of :meth:`Atom.substitute` kept for evaluator readability."""
-    return atom.substitute(bindings)

@@ -16,11 +16,11 @@ libraries"; this module provides those libraries for the engine path:
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..categorize.similarity import SimilarityFunction, combined
 from ..errors import EvaluationError
+from ..model.nulls import semantics_by_name
 from ..vadalog.atoms import Atom
 from ..vadalog.externals import ExternalRegistry
 from ..vadalog.terms import LabelledNull, unwrap, wrap
@@ -63,14 +63,15 @@ class CycleState:
         threshold: float = 0.5,
         semantics: str = "standard",
     ):
-        if semantics not in ("standard", "maybe-match"):
-            raise EvaluationError(
-                f"unknown null semantics {semantics!r} for CycleState"
-            )
+        try:
+            self.semantics = semantics_by_name(semantics)
+        except ValueError as error:
+            raise EvaluationError(str(error)) from None
         self.k = k
         self.threshold = threshold
-        self.semantics = semantics
         self._current: Dict[Tuple, FrozenSet] = {}
+        #: the same VSets as name -> value rows, for matches_combination
+        self._rows: Dict[Tuple, Dict] = {}
         # microDB -> quasi-identifier name set (from anonSet facts);
         # grouping and suppression are restricted to these names so the
         # sampling-weight pair carried in VSet never drives matching.
@@ -92,6 +93,7 @@ class CycleState:
             existing = self._current.get(key)
             if existing is None or _null_count(vset) > _null_count(existing):
                 self._current[key] = vset
+        self._rows = {key: dict(vset) for key, vset in self._current.items()}
         self._loaded = True
 
     def _project(self, micro_db, vset) -> FrozenSet:
@@ -109,9 +111,10 @@ class CycleState:
 
     def replace(self, context, micro_db, tuple_id, vset) -> None:
         self._current[(micro_db, tuple_id)] = vset
+        self._rows[(micro_db, tuple_id)] = dict(vset)
         context.assert_fact("tuple", micro_db, tuple_id, vset)
 
-    # -- risk (k-anonymity under standard null semantics) -----------------
+    # -- risk (k-anonymity under the state's null semantics) --------------
 
     def risk_of(self, context, tuple_id) -> float:
         self._load(context)
@@ -124,16 +127,13 @@ class CycleState:
                 break
         if target is None:
             raise EvaluationError(f"#risk: unknown tuple id {tuple_id!r}")
-        projected = [
-            self._project(micro_db, vset)
-            for (micro_db, _), vset in self._current.items()
-            if micro_db == target_db
-        ]
-        if self.semantics == "standard":
-            groups: Counter = Counter(projected)
-            return 1.0 if groups[target] < self.k else 0.0
+        # Only the target's (projected) names are compared, so the
+        # other tuples need no projection.
         frequency = sum(
-            1 for vset in projected if _vsets_maybe_match(target, vset)
+            1
+            for (micro_db, _), row in self._rows.items()
+            if micro_db == target_db
+            and self.semantics.matches_combination(row, target)
         )
         return 1.0 if frequency < self.k else 0.0
 
@@ -181,19 +181,6 @@ class CycleState:
 
 def _null_count(vset) -> int:
     return sum(1 for _, value in vset if isinstance(value, LabelledNull))
-
-
-def _vsets_maybe_match(a, b) -> bool:
-    """=⊥ over name-value sets: per attribute, equal constants or at
-    least one labelled null (Section 4.3)."""
-    values_b = dict(b)
-    for name, value in a:
-        other = values_b.get(name)
-        if isinstance(value, LabelledNull) or isinstance(other, LabelledNull):
-            continue
-        if value != other:
-            return False
-    return True
 
 
 def cycle_registry(

@@ -1,17 +1,25 @@
 """Null-semantics tests: maybe-match vs standard grouping, the
 Figure 5 frequencies, and hypothesis properties."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.attack.composition import (
+    composition_links,
+    shared_quasi_identifiers,
+)
 from repro.model import (
     MAYBE_MATCH,
     STANDARD,
+    GroupIndex,
     MicrodataDB,
     semantics_by_name,
     survey_schema,
 )
+from repro.risk import group_closeness, sensitive_diversity
 from repro.vadalog.terms import LabelledNull, NullFactory
 
 
@@ -236,3 +244,96 @@ class TestSemanticsProperties:
         db.with_value(row, attr, NullFactory(start=1000).fresh())
         after = MAYBE_MATCH.match_counts(db)[row]
         assert after >= before
+
+
+# -- GroupIndex consumers against the O(n^2) definition ----------------------
+
+sensitive_strategy = st.one_of(
+    st.sampled_from(["x", "y", "z", 1]),
+    st.builds(LabelledNull, st.integers(1, 3)),
+)
+
+
+@st.composite
+def wide_dataset_with_sensitive(draw, max_rows=12):
+    """``wide_dataset_with_nulls`` plus a sensitive column ``S`` whose
+    cells may be labelled nulls (ids repeat)."""
+    db = draw(wide_dataset_with_nulls(max_rows))
+    qis = db.quasi_identifiers
+    rows = [dict(row, S=draw(sensitive_strategy)) for row in db.rows]
+    schema = survey_schema(
+        quasi_identifiers=qis, non_identifying=["S"], weight="W"
+    )
+    return MicrodataDB("t", schema, rows)
+
+
+def matching_rows(semantics, rows, row, attributes):
+    """The rows that =⊥-match ``row`` on ``attributes``, by definition."""
+    combination = [(a, row[a]) for a in attributes]
+    return [
+        other for other in rows
+        if semantics.matches_combination(other, combination)
+    ]
+
+
+semantics_strategy = st.sampled_from([MAYBE_MATCH, STANDARD])
+
+
+class TestGroupIndexConsumers:
+    """l-diversity, t-closeness and release composition read the
+    :class:`GroupIndex`; each equals its definition on
+    ``matches_combination``."""
+
+    @given(wide_dataset_with_sensitive(), semantics_strategy)
+    def test_probe_equals_lookup(self, db, semantics):
+        index = GroupIndex(
+            db, values=db.weights(), nulls_match=semantics.nulls_match
+        )
+        for i, row in enumerate(db.rows):
+            assert index.probe(row) == index.lookup(i)
+
+    @given(wide_dataset_with_sensitive(), semantics_strategy)
+    def test_sensitive_diversity_matches_definition(self, db, semantics):
+        qis = db.quasi_identifiers
+        expected = [
+            len({other["S"] for other in matching_rows(
+                semantics, db.rows, row, qis
+            )})
+            for row in db.rows
+        ]
+        assert sensitive_diversity(db, "S", qis, semantics) == expected
+
+    @given(wide_dataset_with_sensitive(), semantics_strategy)
+    def test_group_closeness_matches_definition(self, db, semantics):
+        qis = db.quasi_identifiers
+        overall = Counter(row["S"] for row in db.rows)
+        expected = []
+        for row in db.rows:
+            group = Counter(
+                other["S"]
+                for other in matching_rows(semantics, db.rows, row, qis)
+            )
+            size = sum(group.values())
+            expected.append(0.5 * sum(
+                abs(group[value] / size - overall[value] / len(db))
+                for value in overall
+            ))
+        assert group_closeness(db, "S", qis, semantics) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+    @given(
+        wide_dataset_with_sensitive(),
+        wide_dataset_with_sensitive(),
+        semantics_strategy,
+    )
+    def test_composition_links_match_definition(
+        self, first, second, semantics
+    ):
+        """Join on the shared QIs (the shorter QI prefix of the two)."""
+        shared = shared_quasi_identifiers(first, second)
+        expected = [
+            len(matching_rows(semantics, second.rows, row, shared))
+            for row in first.rows
+        ]
+        assert composition_links(first, second, None, semantics) == expected
