@@ -18,6 +18,12 @@ that dynamically discloses a sentinel identifier (``flow-disagree``).
 The run also asserts the leakage cross-check got real coverage: at
 least 60% of the pairs must carry the sensitivity-seeding substrate
 (sentinel identifiers + ``@output`` marks) and run the check.
+
+A second fixed batch of 200 existential-heavy pairs follows
+(``p_existential=0.8``, ``p_multi_head=0.5``: heads with repeated
+predicates, atoms without existentials and disconnected existentials),
+so the restricted chase's batched image check meets every head shape.
+It has the same zero-disagreement and 90%-executed gates.
 """
 
 import sys
@@ -27,8 +33,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.testing import run_conformance  # noqa: E402
 from repro.testing.conformance import ConformanceOutcome  # noqa: E402
+from repro.testing.generator import GeneratorConfig  # noqa: E402
 
 BASE_SEED = 20260805
+EXISTENTIAL_SEED = 20261018
+EXISTENTIAL_EXAMPLES = 200
+EXISTENTIAL_CONFIG = GeneratorConfig(p_existential=0.8, p_multi_head=0.5)
 
 USAGE = (
     "usage: PYTHONPATH=src python benchmarks/smoke_conformance.py "
@@ -36,41 +46,62 @@ USAGE = (
 )
 
 
-def main() -> int:
-    if len(sys.argv) > 2:
-        print(USAGE, file=sys.stderr)
-        return 2
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 500
-    report = run_conformance(
-        base_seed=BASE_SEED,
-        examples=examples,
-        artifact_dir="conformance-artifacts",
+def compared(report) -> int:
+    """Pairs actually compared: executed minus budget skips."""
+    return report.executed - sum(
+        report.counts.get(status, 0)
+        for status in ConformanceOutcome.SKIP_STATUSES
     )
-    print("conformance smoke:", report.summary())
+
+
+def run_batch(name, examples, **kwargs):
+    """One fixed-seed batch; returns the report, or None (after
+    printing every disagreement) when any pair disagrees."""
+    report = run_conformance(
+        examples=examples, artifact_dir="conformance-artifacts", **kwargs
+    )
+    print(f"conformance smoke ({name}):", report.summary())
     disagreements = report.disagreements
     if disagreements:
         for outcome in disagreements:
             print(f"seed {outcome.seed} [{outcome.status}]: {outcome.detail}")
         for path in report.artifacts:
             print("artifact:", path)
-        return 1
-    skipped = sum(
-        report.counts.get(status, 0)
-        for status in ConformanceOutcome.SKIP_STATUSES
-    )
-    executed = report.executed - skipped
+        return None
+    executed = compared(report)
     assert executed >= int(0.9 * examples), (
-        f"too many budget skips: only {executed}/{examples} pairs "
-        "actually compared"
+        f"too many budget skips ({name}): only {executed}/{examples} "
+        "pairs actually compared"
     )
+    return report
+
+
+def main() -> int:
+    if len(sys.argv) > 2:
+        print(USAGE, file=sys.stderr)
+        return 2
+    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 500
+    report = run_batch("default mix", examples, base_seed=BASE_SEED)
+    if report is None:
+        return 1
     assert report.flow_checked >= int(0.6 * examples), (
         f"leakage cross-check coverage too thin: only "
         f"{report.flow_checked}/{examples} pairs carried sentinel "
         "identifiers and ran the static-vs-dynamic comparison"
     )
     print(
-        f"conformance smoke OK: {executed} pairs compared, "
+        f"conformance smoke OK: {compared(report)} pairs compared, "
         f"{report.flow_checked} flow-checked, 0 disagreements"
+    )
+    existential = run_batch(
+        "existential-heavy", EXISTENTIAL_EXAMPLES,
+        base_seed=EXISTENTIAL_SEED, config=EXISTENTIAL_CONFIG,
+    )
+    if existential is None:
+        return 1
+    print(
+        f"conformance smoke OK (existential-heavy): "
+        f"{compared(existential)} pairs compared, 0 disagreements"
     )
     return 0
 

@@ -20,6 +20,7 @@ statistics are to the original's:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
@@ -50,9 +51,10 @@ def total_variation(
     before: Dict[object, float], after: Dict[object, float]
 ) -> float:
     """TV distance between two discrete distributions (0 = identical,
-    1 = disjoint)."""
+    1 = disjoint).  ``math.fsum`` rounds the sum once, so the distance
+    does not depend on the order the keys are visited in."""
     keys = set(before) | set(after)
-    return 0.5 * sum(
+    return 0.5 * math.fsum(
         abs(before.get(key, 0.0) - after.get(key, 0.0)) for key in keys
     )
 

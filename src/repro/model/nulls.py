@@ -40,8 +40,8 @@ work stays near-linear while masks are few — which holds during
 anonymization, where suppression introduces nulls sparsely.
 
 :meth:`NullSemantics.matches_combination` is the row-by-row definition
-of =⊥; the index is tested against it, and the engine path's ``#risk``
-external counts with it.
+of =⊥; the index is tested against it.  The engine path's ``#risk``
+external keeps one index per microDB as well.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ Semantics implemented here:
 * **Restricted chase** for existential rules: a head conjunction with
   fresh labelled nulls is only asserted when it has no joint
   homomorphic image in the current store — the standard termination
-  device for warded programs.
+  device for warded programs.  The check runs once per rule
+  application over the batch of frontier keys, as a join plan over
+  the head atoms (:class:`~repro.vadalog.columnar.HeadImageCheck`).
 * **Stratified negation**: negative literals are checked against the
   saturated lower strata (enforced by stratification).
 * **Monotonic aggregation** with contributor semantics: aggregate
@@ -39,14 +41,14 @@ from ..telemetry.inspect import ChaseProgress, PlanAnalysis
 from ..telemetry.metrics import MetricsRegistry
 from .atoms import Fact
 from .aggregates import AggregateState
-from .columnar import MaskRecord, _RowView, execute_batch
+from .columnar import HeadImageCheck, MaskRecord, _RowView, execute_batch
 from .database import FactStore
 from .egd import EGDViolation, enforce_egds
 from .expressions import TupleExpr, VarRef
 from .explain import ProvenanceLog
 from .externals import ExternalContext, ExternalRegistry
 from .negation import stratify
-from .plans import RulePlans, compile_rule_plans
+from .plans import HeadPlan, RulePlans, compile_rule_plans
 from .routing import RoutingTable, fifo_strategy
 from .rules import EGD, Rule
 from .terms import Constant, LabelledNull, NullFactory, Term, Variable, unwrap
@@ -252,8 +254,8 @@ class ChaseEngine:
         self.max_facts = max_facts
         self.strict_egds = strict_egds
         self._null_factory = null_factory
-        # Negative labels for restricted-chase trial nulls; these are
-        # never stored and never counted as injected.
+        # Negative labels for the isomorphic check's trial nulls; these
+        # are never stored and never counted as injected.
         self._placeholder_label = 0
         # Stable metric label per rule (telemetry): @label when given.
         self._rule_names = {
@@ -721,15 +723,17 @@ class ChaseEngine:
 
         Everything the bulk paths skip must be unobservable: no
         externals (they expand at fire time under routing order).  The
-        facts path additionally needs ground heads (no existentials —
-        the restricted-chase image check is per-row); the aggregate
-        path needs no post-aggregate conditions (per-binding firing
-        checks them against intermediate values, an order-dependent
-        effect) and no aggregate input reading another aggregate's
-        target (per-binding firing evaluates later aggregates with
-        earlier targets already substituted).  Provenance does not
-        matter: the aggregate path records one derivation per group
-        fact it adds."""
+        facts path takes existential rules under the restricted chase
+        (one :class:`HeadImageCheck` per application decides the rows
+        in batch order, which is the per-binding firing order) but not
+        under ``termination="isomorphic"``, whose check stays per row.
+        The aggregate path needs no post-aggregate conditions
+        (per-binding firing checks them against intermediate values, an
+        order-dependent effect) and no aggregate input reading another
+        aggregate's target (per-binding firing evaluates later
+        aggregates with earlier targets already substituted).
+        Provenance does not matter: the aggregate path records one
+        derivation per group fact it adds."""
         mode = self._batch_fire_modes.get(id(rule))
         if mode is not None or id(rule) in self._batch_fire_modes:
             return mode
@@ -750,31 +754,64 @@ class ChaseEngine:
                 if inputs & targets:
                     return None
             return "aggregates"
-        if rule.existential_variables():
+        if rule.existential_variables() and self.termination != "restricted":
             return None
         return "facts"
 
     def _fire_facts_batched(
         self,
         rule: Rule,
+        plans: RulePlans,
         batches,
         store: FactStore,
         provenance: ProvenanceLog,
+        null_factory: NullFactory,
         firings: Optional[List[List[Fact]]],
     ) -> bool:
-        """Bulk head firing for ground-head rules.  Duplicate bindings
-        (within or across delta plans) need no dedup pass: the store
-        add is idempotent and provenance records first-added atoms
-        only, exactly as the deduped row path would.  Each row that
+        """Bulk head firing.  Duplicate bindings (within or across
+        delta plans) need no dedup pass: the store add is idempotent
+        and provenance records first-added atoms only, exactly as the
+        deduped row path would.  An existential rule's rows fire in
+        batch order unless the application's :class:`HeadImageCheck`
+        blocks their frontier key; a fired row draws its fresh nulls
+        then, so null labels, premises (the first occurrence's) and
+        ``invent_null`` events match per-binding firing.  Each row that
         adds facts is one firing, appended to ``firings`` when given."""
         head = rule.head
         label = rule.label
         track = self.provenance_enabled
         changed = False
-        for batch in batches:
+        check = None
+        if plans.head_plan is not None:
+            existentials = plans.head_plan.existentials
+            frontier = plans.head_plan.frontier
+            batch_keys = []
+            for batch in batches:
+                missing = [None] * batch.n
+                batch_keys.append(_tuple_column(
+                    [batch.cols.get(v, missing) for v in frontier],
+                    batch.n,
+                ))
+                # Fired rows fill their existentials' columns in place.
+                for variable in existentials:
+                    batch.cols[variable] = [None] * batch.n
+            check = HeadImageCheck(
+                plans.head_plan, store,
+                (key for keys in batch_keys for key in keys),
+            )
+        for b, batch in enumerate(batches):
             view = _RowView(batch.cols)
             for i in range(batch.n):
                 view.i = i
+                if check is not None:
+                    key = batch_keys[b][i]
+                    if check.blocks(key):
+                        continue
+                    fresh = self._invent_nulls(
+                        rule, existentials, null_factory
+                    )
+                    for variable, null in fresh.items():
+                        batch.cols[variable][i] = null
                 added = None
                 for atom in head:
                     fact = atom.substitute(view)
@@ -794,6 +831,8 @@ class ChaseEngine:
                                 added = []
                                 firings.append(added)
                             added.append(fact)
+                if check is not None:
+                    check.fired(key)
         return changed
 
     def _fire_aggregates_batched(
@@ -947,7 +986,8 @@ class ChaseEngine:
         if mode == "facts":
             rows = sum(batch.n for batch in batches)
             changed = self._fire_facts_batched(
-                rule, batches, store, provenance, firings
+                rule, plans, batches, store, provenance, null_factory,
+                firings,
             )
         elif mode == "aggregates":
             rows = sum(batch.n for batch in batches)
@@ -971,6 +1011,17 @@ class ChaseEngine:
             external_literals = [
                 lit for lit in rule.body if lit.atom.is_external
             ]
+            check = None
+            head_plan = plans.head_plan
+            if head_plan is not None and self.termination == "restricted":
+                # Keys an external binds are decided when first queried.
+                upfront = (
+                    ordered if set(head_plan.frontier) <= set(plans.binds)
+                    else ()
+                )
+                check = HeadImageCheck(
+                    head_plan, store, map(head_plan.key, upfront)
+                )
             changed = False
             for substitution in ordered:
                 premises = premises_of.get(id(substitution), [])
@@ -987,7 +1038,7 @@ class ChaseEngine:
                     else:
                         added = self._fire(
                             rule, full, premises, store, provenance,
-                            null_factory,
+                            null_factory, head_plan, check,
                         )
                     if added:
                         changed = True
@@ -1072,10 +1123,19 @@ class ChaseEngine:
         store: FactStore,
         provenance: ProvenanceLog,
         null_factory: NullFactory,
+        head_plan: Optional[HeadPlan],
+        check: Optional[HeadImageCheck],
     ) -> List[Fact]:
-        """Fire one binding; returns the head facts it added."""
+        """Fire one binding; returns the head facts it added.
+        ``head_plan`` is None without existentials; under the
+        restricted chase the application's ``check`` decides
+        blocking."""
+        if check is not None:
+            key = head_plan.key(substitution)
+            if check.blocks(key):
+                return []
         head_atoms = self._instantiate_head(
-            rule, substitution, null_factory, store
+            rule, head_plan, substitution, null_factory, store
         )
         if head_atoms is None:
             return []
@@ -1084,55 +1144,30 @@ class ChaseEngine:
             if store.add(atom):
                 added.append(atom)
                 provenance.record(atom, rule.label, premises)
+        if check is not None:
+            check.fired(key)
         return added
 
     def _instantiate_head(
         self,
         rule: Rule,
+        head_plan: Optional[HeadPlan],
         substitution: Substitution,
         null_factory: NullFactory,
         store: FactStore,
     ) -> Optional[List[Fact]]:
-        existentials = rule.existential_variables()
-        if existentials:
-            # Restricted chase: instantiate with *placeholder* nulls
-            # (negative labels, never stored or counted), and only
-            # materialize fresh nulls when no homomorphic image exists.
-            trial = dict(substitution)
-            placeholders = set()
-            for var in existentials:
-                self._placeholder_label -= 1
-                placeholder = LabelledNull(self._placeholder_label)
-                trial[var] = placeholder
-                placeholders.add(placeholder)
-            trial_atoms = [atom.substitute(trial) for atom in rule.head]
-            if conjunction_has_image(
-                trial_atoms,
-                store,
-                placeholders,
-                null_to_null=(self.termination == "isomorphic"),
+        if head_plan is not None:
+            existentials = head_plan.existentials
+            # The restricted chase decided blocking before the call
+            # (see _fire); the isomorphic check runs here, per row.
+            if self.termination == "isomorphic" and self._isomorphic_image(
+                rule, substitution, existentials, store
             ):
                 return None
-            fresh = {var: null_factory.fresh() for var in existentials}
-            if self._metrics is not None:
-                self._metrics.counter("chase.nulls_introduced").inc(
-                    len(fresh)
-                )
-                self._metrics.counter(
-                    "chase.nulls_introduced_by_rule",
-                    rule=self._rule_names.get(id(rule), rule.label or "?"),
-                ).inc(len(fresh))
-            if self._events is not None:
-                self._events.emit(
-                    "decision",
-                    kind="invent_null",
-                    rule=self._rule_names.get(id(rule), rule.label or "?"),
-                    stratum=self._stratum_index,
-                    round=self._round,
-                    nulls=len(fresh),
-                )
             final = dict(substitution)
-            final.update(fresh)
+            final.update(
+                self._invent_nulls(rule, existentials, null_factory)
+            )
             return [atom.substitute(final) for atom in rule.head]
         atoms = [atom.substitute(substitution) for atom in rule.head]
         for atom in atoms:
@@ -1142,6 +1177,58 @@ class ChaseEngine:
                     f"rule {rule.label or rule}"
                 )
         return atoms
+
+    def _isomorphic_image(
+        self,
+        rule: Rule,
+        substitution: Substitution,
+        existentials: Set[Variable],
+        store: FactStore,
+    ) -> bool:
+        """Isomorphic-pattern blocking: instantiate the head with
+        *placeholder* nulls (negative labels, never stored or counted)
+        and search for an image in which body nulls may map onto other
+        nulls."""
+        trial = dict(substitution)
+        placeholders = set()
+        for var in existentials:
+            self._placeholder_label -= 1
+            placeholder = LabelledNull(self._placeholder_label)
+            trial[var] = placeholder
+            placeholders.add(placeholder)
+        trial_atoms = [atom.substitute(trial) for atom in rule.head]
+        return conjunction_has_image(
+            trial_atoms, store, placeholders, null_to_null=True
+        )
+
+    def _invent_nulls(
+        self,
+        rule: Rule,
+        existentials: Set[Variable],
+        null_factory: NullFactory,
+    ) -> Dict[Variable, LabelledNull]:
+        """One firing's fresh nulls, one per existential, with their
+        telemetry: the ``chase.nulls_introduced{,_by_rule}`` counters
+        and one ``invent_null`` decision event."""
+        fresh = {var: null_factory.fresh() for var in existentials}
+        if self._metrics is not None:
+            self._metrics.counter("chase.nulls_introduced").inc(
+                len(fresh)
+            )
+            self._metrics.counter(
+                "chase.nulls_introduced_by_rule",
+                rule=self._rule_names.get(id(rule), rule.label or "?"),
+            ).inc(len(fresh))
+        if self._events is not None:
+            self._events.emit(
+                "decision",
+                kind="invent_null",
+                rule=self._rule_names.get(id(rule), rule.label or "?"),
+                stratum=self._stratum_index,
+                round=self._round,
+                nulls=len(fresh),
+            )
+        return fresh
 
     def _fire_with_aggregates(
         self,

@@ -1,6 +1,6 @@
 """Columnar fact storage and batched plan execution.
 
-Two pieces live here:
+Three pieces live here:
 
 * :class:`ColumnarRelation` — the storage of one predicate inside
   :class:`~repro.vadalog.database.FactStore`.  Every term is interned
@@ -12,13 +12,16 @@ Two pieces live here:
   built group index ``positions -> code key -> [rowid]``.  Facts themselves are kept in
   a rowid-indexed list so probe results stay ordinary
   :class:`~repro.vadalog.atoms.Fact` tuples and every row-at-a-time
-  consumer (negation, EGDs, externals, ``conjunction_has_image``)
-  works unchanged.
+  consumer (the error-masking completion search, EGDs, externals,
+  the isomorphic chase's ``conjunction_has_image``) works unchanged.
 * :func:`execute_batch` — the executor for the compiled join plans of
   :mod:`repro.vadalog.plans`.  The whole delta frontier flows through
   a plan as parallel columns: scan steps are hash joins that expand
   the batch, assignments/conditions evaluate per row through a
   zero-copy :class:`_RowView`, negation checks filter rows in place.
+* :class:`HeadImageCheck` — the restricted chase's blocking decision
+  for one rule application, made by running the rule's compiled head
+  plan over the batch of frontier keys.
 
 **Errors in pushed-down expressions.**  A rule body joins *all*
 positive literals and checks negation before it evaluates assignments
@@ -43,7 +46,8 @@ from __future__ import annotations
 import sys
 from array import array
 from time import perf_counter_ns
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, \
+    Tuple
 
 try:  # pragma: no cover — exercised via HAVE_NUMPY branches
     import numpy as _np
@@ -805,17 +809,21 @@ def execute_batch(
     track_premises: bool = False,
     analysis=None,
     masks: Optional[List[MaskRecord]] = None,
+    batch: Optional[Batch] = None,
 ) -> Batch:
     """Run one compiled plan over the store as a batch pipeline.
 
     Returns the final batch — one row per complete body match, columns
     for every bound variable (scan outputs plus assignment targets).
+    The pipeline starts from ``batch`` when given (rows of variables
+    the plan treats as bound on input), else from the one empty row.
     An expression error surfaces or is masked per the module
     docstring.  When ``analysis`` is given (EXPLAIN ANALYZE), per-step
     actuals are recorded batch-wise: ``invocations`` counts rows
     entering the step, ``rows_out`` rows leaving it.
     """
-    batch = Batch.unit(track_premises)
+    if batch is None:
+        batch = Batch.unit(track_premises)
     if analysis is not None:
         analysis.executions += 1
     for index, step in enumerate(plan.steps):
@@ -841,3 +849,81 @@ def execute_batch(
     if analysis is not None:
         analysis.matches += batch.n
     return batch
+
+
+class HeadImageCheck:
+    """Restricted-chase blocking for one rule application: which
+    frontier keys of an existential rule must not fire, decided by the
+    rule's :class:`~repro.vadalog.plans.HeadPlan` over whole key
+    batches instead of one homomorphism search per binding.
+
+    The keys with a head image when the check is built are blocked.
+    The rest fire in the caller's order, and each firing blocks its
+    own key (its facts are an image of its own head).  For a head of
+    the :func:`~repro.vadalog.plans.own_key_exact` shape that is the
+    whole effect of a firing; for any other head, the plan re-runs
+    over the keys not yet fired at the next query after a firing.  It
+    also re-runs when the head relations grew by anything but this
+    application's firings (an external asserting facts), since images
+    only ever appear as facts are added.
+    """
+
+    __slots__ = (
+        "head_plan", "store", "blocked", "clear", "pending", "size",
+    )
+
+    def __init__(self, head_plan, store, keys: Iterable[Tuple]):
+        self.head_plan = head_plan
+        self.store = store
+        #: keys with an image (never unblocked: facts are only added).
+        self.blocked: Set[Tuple] = set()
+        #: keys without an image while the head relations hold
+        #: ``size`` facts.
+        self.clear: Set[Tuple] = set()
+        #: keys not yet fired, in firing order.
+        self.pending: Dict[Tuple, None] = dict.fromkeys(keys)
+        self.size = 0
+        self._decide(self.pending)
+
+    def _decide(self, keys) -> None:
+        undecided = [key for key in keys if key not in self.blocked]
+        found: Set[Tuple] = set()
+        if undecided:
+            head_plan = self.head_plan
+            frontier = head_plan.frontier
+            cols = {
+                variable: list(column)
+                for variable, column in zip(frontier, zip(*undecided))
+            }
+            rows = execute_batch(
+                head_plan.plan(self.store), head_plan.rule, self.store,
+                batch=Batch(len(undecided), cols, None),
+            )
+            if frontier:
+                found = set(zip(*(rows.cols[v] for v in frontier)))
+            elif rows.n:
+                found = {()}
+        self.blocked |= found
+        self.clear = set(undecided) - found
+        self.size = self._size()
+
+    def _size(self) -> int:
+        return sum(map(self.store.count, self.head_plan.predicates))
+
+    def blocks(self, key: Tuple) -> bool:
+        """Whether ``key`` has a head image in the store as it stands."""
+        if key in self.blocked:
+            return True
+        if self._size() != self.size:
+            self.clear = set()
+        if key not in self.clear:
+            self._decide(dict.fromkeys((key, *self.pending)))
+        return key in self.blocked
+
+    def fired(self, key: Tuple) -> None:
+        """Record that ``key`` fired; call after its facts were added."""
+        self.blocked.add(key)
+        self.pending.pop(key, None)
+        self.size = self._size()
+        if not self.head_plan.exact:
+            self.clear = set()

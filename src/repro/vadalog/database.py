@@ -126,6 +126,24 @@ class FactStore:
             return ()
         return relation.probe(predicate, positions, key, delta_only)
 
+    def average_group_size(
+        self, predicate: str, positions: Tuple[int, ...]
+    ) -> float:
+        """Facts per distinct key of the composite index a probe on
+        ``positions`` reads: the expected size of one probe's result
+        (0 for an empty relation, every fact for a keyless scan, 1 for
+        a full-key membership probe).  Builds the index if no probe has
+        yet."""
+        relation = self._relations.get(predicate)
+        if relation is None or not relation.live_count:
+            return 0.0
+        if not positions:
+            return float(relation.live_count)
+        if len(positions) == relation.arity:
+            return 1.0
+        groups = len(relation.ensure_group(positions))
+        return relation.live_count / groups
+
     # -- semi-naive bookkeeping --------------------------------------------
 
     def delta(self, predicate: str) -> Set[Fact]:

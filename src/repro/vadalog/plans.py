@@ -25,6 +25,11 @@ partial bindings:
 Literal order is fixed up front by a greedy bound-position /
 shared-variable / arity heuristic; the delta literal always leads.
 
+An existential rule also compiles its head into a :class:`HeadPlan`:
+scan steps over the head atoms with the frontier bound on input, the
+restricted chase's image check for a whole batch of bindings.  Its
+atom order is picked at run time from the stored relations' sizes.
+
 **Rule semantics.** A body match is a complete positive join that
 passes every negation check; assignments then run in rule order, then
 conditions in rule order, stopping at the first failure.  The naive
@@ -213,18 +218,128 @@ class JoinPlan:
         return [step.explain() for step in self.steps]
 
 
+def own_key_exact(atoms: Sequence[Atom], existentials: Set[Variable]) -> bool:
+    """Does firing one frontier key create a head image for that key
+    only?  True for a head where every atom carries an existential,
+    the atoms are connected through shared existentials, and no
+    predicate repeats.
+
+    Proof.  Let key ``k`` fire with fresh nulls ``ν`` (one per
+    existential ``Z``; fresh means no fact stored before the firing
+    carries them), and let ``h`` be an image of the head instantiated
+    at another key ``k'`` in the store after the firing.  If ``h``
+    uses no fact of this firing, the image existed before it.
+    Otherwise some head atom ``a`` maps onto a fired fact ``f``; the
+    predicates are distinct, so ``f`` is ``a`` instantiated at ``k``
+    and ``ν``.  ``a`` carries an existential ``Z``, so ``h(Z) = ν_Z``.
+    Any atom ``b`` sharing ``Z`` maps onto a fact carrying ``ν_Z``;
+    only this firing's facts carry it, and only one of them has ``b``'s
+    predicate, so ``b`` too maps onto its own instantiation at ``k``.
+    Connectivity carries this to every head atom, and a frontier
+    position maps onto its own value, so ``k'`` agrees with ``k`` on
+    every frontier variable: ``k' = k``.  So a firing blocks its own
+    key and leaves every other key's decision unchanged.  ∎
+
+    Without the shape the argument fails: an atom with no existential
+    fires a plain fact that can serve other keys, and a repeated
+    predicate or a second existential component lets an image mix
+    facts of different firings."""
+    if len({atom.predicate for atom in atoms}) != len(atoms):
+        return False
+    per_atom = [set(atom.variables()) & existentials for atom in atoms]
+    if not all(per_atom):
+        return False
+    reached = set(per_atom[0])
+    pending = list(range(1, len(per_atom)))
+    while pending:
+        linked = [i for i in pending if per_atom[i] & reached]
+        if not linked:
+            return False
+        for i in linked:
+            reached |= per_atom[i]
+            pending.remove(i)
+    return True
+
+
+class HeadPlan:
+    """The restricted-chase image check of one existential rule,
+    compiled once per rule: :meth:`plan` lays the head atoms out as
+    scan steps with the frontier variables bound on input.
+
+    Run over a batch of frontier keys (see
+    :class:`repro.vadalog.columnar.HeadImageCheck`), the plan's output
+    rows are exactly the keys whose head conjunction has a homomorphic
+    image: existentials bind to any stored term, consistently across
+    atoms; frontier values and constants are matched exactly.  The
+    atom order is picked at run time, since the best order depends on
+    how the head relations have grown."""
+
+    __slots__ = ("rule", "existentials", "atoms", "predicates",
+                 "frontier", "exact")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        #: The rule's existential variables (fresh nulls are drawn in
+        #: this set's iteration order).
+        self.existentials = existentials = rule.existential_variables()
+        # Anonymous existentials are still existentials: named, their
+        # repeated occurrences must bind consistently, as in the
+        # restricted chase's homomorphism.
+        named = {
+            v: Variable("?" + v.name)
+            for v in existentials if v.is_anonymous
+        }
+        self.atoms = tuple(atom.substitute(named) for atom in rule.head)
+        #: The head's distinct predicates: the relations images live in.
+        self.predicates = tuple(dict.fromkeys(a.predicate for a in self.atoms))
+        #: Non-existential head variables in name order: the column
+        #: order of the frontier keys the check decides.
+        self.frontier: Tuple[Variable, ...] = tuple(sorted(
+            rule.head_variables() - existentials, key=lambda v: v.name
+        ))
+        #: Whether a firing blocks exactly its own key
+        #: (:func:`own_key_exact`).
+        self.exact = own_key_exact(
+            self.atoms, (existentials - set(named)) | set(named.values())
+        )
+
+    def key(self, bindings) -> Tuple:
+        """The frontier key of one binding (a mapping of variables;
+        None where it leaves a frontier variable unbound)."""
+        return tuple(bindings.get(v) for v in self.frontier)
+
+    def plan(self, store) -> JoinPlan:
+        """The join plan for the store as it stands.  Each next atom is
+        the one whose probe hits the smallest groups on average (facts
+        per distinct key of the composite index it would probe), ties
+        in head order."""
+        known = set(self.frontier)
+        remaining = list(self.atoms)
+        steps = []
+        while remaining:
+            # min keeps the first of equal costs: ties go in head order.
+            atom = min(remaining, key=lambda atom: store.average_group_size(
+                atom.predicate, probe_layout(atom, known)[0]
+            ))
+            remaining.remove(atom)
+            steps.append(ScanStep(atom, known))
+            known.update(atom.variables())
+        return JoinPlan(self.rule, steps, None)
+
+
 class RulePlans:
     """All compiled plans for one rule: a first-round plan plus one
-    delta plan per positive body literal, and the rule facts the engine
-    reads per application."""
+    delta plan per positive body literal, the head plan of an
+    existential rule, and the rule facts the engine reads per
+    application."""
 
     __slots__ = (
         "rule", "first_round", "delta_plans", "has_positives", "binds",
-        "deferred",
+        "deferred", "head_plan",
     )
 
     def __init__(self, rule, first_round, delta_plans, has_positives,
-                 binds, deferred):
+                 binds, deferred, head_plan=None):
         self.rule = rule
         self.first_round = first_round
         #: ``(literal_index, predicate, plan)`` triples.
@@ -236,6 +351,8 @@ class RulePlans:
         self.binds = binds
         #: Conditions checked after external expansion.
         self.deferred = deferred
+        #: :class:`HeadPlan` of an existential rule, else None.
+        self.head_plan = head_plan
 
     def describe(self) -> Dict[str, List[str]]:
         return {name: plan.describe() for name, plan in self.named_plans()}
@@ -438,4 +555,7 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
         has_positives=bool(positives),
         binds=sorted(available, key=lambda v: v.name),
         deferred=deferred_conditions(rule),
+        head_plan=(
+            HeadPlan(rule) if rule.existential_variables() else None
+        ),
     )

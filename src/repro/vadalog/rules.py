@@ -26,16 +26,11 @@ from .expressions import Expression
 from .terms import Term, Variable
 
 
-#: Monotone direction per aggregate function: how to combine repeated
-#: contributions from the same contributor.
-AGGREGATE_FUNCTIONS = {
-    "msum": "max",
-    "mcount": "dedup",
-    "mprod": "max",
-    "mmin": "min",
-    "mmax": "max",
-    "munion": "union",
-}
+#: The monotonic aggregate functions; how each combines repeated
+#: contributions is defined in :mod:`repro.vadalog.aggregates`.
+AGGREGATE_FUNCTIONS = frozenset(
+    {"msum", "mcount", "mprod", "mmin", "mmax", "munion"}
+)
 
 
 class AggregateSpec:

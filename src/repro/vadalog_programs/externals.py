@@ -16,11 +16,12 @@ libraries"; this module provides those libraries for the engine path:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..categorize.similarity import SimilarityFunction, combined
 from ..errors import EvaluationError
-from ..model.nulls import semantics_by_name
+from ..model.nulls import GroupIndex, semantics_by_name
 from ..vadalog.atoms import Atom
 from ..vadalog.externals import ExternalRegistry
 from ..vadalog.terms import LabelledNull, unwrap, wrap
@@ -54,7 +55,13 @@ class CycleState:
 
     Initialized lazily from the store's ``tuple`` facts; every
     suppression or recoding updates the entry and asserts the new
-    ``tuple`` fact so downstream rules see it.
+    ``tuple`` fact so downstream rules see it.  ``#risk`` reads one
+    :class:`~repro.model.nulls.GroupIndex` per microDB over its anonSet
+    names (every name of its VSets when it declares none), kept current
+    with :meth:`GroupIndex.update` as the native cycle does, so a call
+    is one index lookup instead of a pass over every tuple.  Every
+    tuple of a microDB carries the same names (``TUPLE_BUILD`` builds
+    them from one schema).
     """
 
     def __init__(
@@ -70,8 +77,13 @@ class CycleState:
         self.k = k
         self.threshold = threshold
         self._current: Dict[Tuple, FrozenSet] = {}
-        #: the same VSets as name -> value rows, for matches_combination
-        self._rows: Dict[Tuple, Dict] = {}
+        #: microDB -> =⊥ grouping of its VSets (as name -> value rows)
+        #: on the compared names
+        self._indices: Dict[object, GroupIndex] = {}
+        #: (microDB, tuple id) -> the tuple's row in its microDB
+        self._row_of: Dict[Tuple, int] = {}
+        #: tuple id -> the first microDB carrying it
+        self._db_of: Dict[object, object] = {}
         # microDB -> quasi-identifier name set (from anonSet facts);
         # grouping and suppression are restricted to these names so the
         # sampling-weight pair carried in VSet never drives matching.
@@ -93,7 +105,23 @@ class CycleState:
             existing = self._current.get(key)
             if existing is None or _null_count(vset) > _null_count(existing):
                 self._current[key] = vset
-        self._rows = {key: dict(vset) for key, vset in self._current.items()}
+        rows_of: Dict[object, List[Dict]] = {}
+        names: Dict[object, List[str]] = {}
+        for (micro_db, tuple_id), vset in self._current.items():
+            rows = rows_of.setdefault(micro_db, [])
+            self._row_of[(micro_db, tuple_id)] = len(rows)
+            rows.append(dict(vset))
+            self._db_of.setdefault(tuple_id, micro_db)
+            if micro_db not in names:
+                names[micro_db] = sorted(
+                    name for name, _ in self._project(micro_db, vset)
+                )
+        for micro_db, rows in rows_of.items():
+            # GroupIndex reads only ``rows`` of the DB it indexes.
+            self._indices[micro_db] = GroupIndex(
+                SimpleNamespace(rows=rows), names[micro_db],
+                nulls_match=self.semantics.nulls_match,
+            )
         self._loaded = True
 
     def _project(self, micro_db, vset) -> FrozenSet:
@@ -110,30 +138,25 @@ class CycleState:
         return self._current.get((micro_db, tuple_id))
 
     def replace(self, context, micro_db, tuple_id, vset) -> None:
+        self._load(context)
         self._current[(micro_db, tuple_id)] = vset
-        self._rows[(micro_db, tuple_id)] = dict(vset)
+        row = self._row_of[(micro_db, tuple_id)]
+        index = self._indices[micro_db]
+        index.db.rows[row] = dict(vset)
+        index.update(row)
         context.assert_fact("tuple", micro_db, tuple_id, vset)
 
     # -- risk (k-anonymity under the state's null semantics) --------------
 
     def risk_of(self, context, tuple_id) -> float:
+        """1.0 when fewer than k tuples of the first microDB carrying
+        ``tuple_id`` =⊥-match its current version, else 0.0."""
         self._load(context)
-        target = None
-        target_db = None
-        for (micro_db, current_id), vset in self._current.items():
-            if current_id == tuple_id:
-                target = self._project(micro_db, vset)
-                target_db = micro_db
-                break
-        if target is None:
+        micro_db = self._db_of.get(tuple_id)
+        if micro_db is None:
             raise EvaluationError(f"#risk: unknown tuple id {tuple_id!r}")
-        # Only the target's (projected) names are compared, so the
-        # other tuples need no projection.
-        frequency = sum(
-            1
-            for (micro_db, _), row in self._rows.items()
-            if micro_db == target_db
-            and self.semantics.matches_combination(row, target)
+        frequency, _ = self._indices[micro_db].lookup(
+            self._row_of[(micro_db, tuple_id)]
         )
         return 1.0 if frequency < self.k else 0.0
 

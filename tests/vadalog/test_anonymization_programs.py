@@ -2,13 +2,18 @@
 and the full declarative pipeline on survey data."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.data import city_fragment
 from repro.model import DomainHierarchy
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
-from repro.vadalog.terms import LabelledNull
+from repro.vadalog.database import FactStore
+from repro.vadalog.externals import ExternalContext
+from repro.vadalog.terms import LabelledNull, NullFactory
 from repro.vadalog_programs import (
+    CycleState,
     ANONYMIZATION_CYCLE,
     GLOBAL_RECODING,
     K_ANONYMITY,
@@ -140,3 +145,78 @@ class TestDeclarativePipeline:
         rendered = tree.render()
         assert "cycle-anonymize" in rendered
         assert "tuple(" in rendered
+
+
+#: (microDB, tuple id) pairs of the risk_of property; id 2 sits in both
+#: microDBs, so ``#risk`` must pick the first one carrying it.
+RISK_KEYS = [("m", 0), ("m", 1), ("m", 2), ("m", 3), ("n", 2), ("n", 4)]
+RISK_NAMES = ("A", "B", "W")
+
+
+def _expected_risk(state, tuple_id):
+    """The O(n) definition: the tuple's current version, projected on
+    its microDB's anonSet, =⊥-matched row by row against every current
+    tuple of that microDB."""
+    micro_db = next(db for db, i in state._current if i == tuple_id)
+    target = state._project(micro_db, state._current[(micro_db, tuple_id)])
+    frequency = sum(
+        1
+        for (db, _), vset in state._current.items()
+        if db == micro_db
+        and state.semantics.matches_combination(dict(vset), target)
+    )
+    return 1.0 if frequency < state.k else 0.0
+
+
+class TestRiskExternalIndex:
+    @given(
+        semantics=st.sampled_from(["standard", "maybe-match"]),
+        anon_set=st.booleans(),
+        values=st.lists(
+            st.tuples(*[st.sampled_from("xy")] * len(RISK_NAMES)),
+            min_size=len(RISK_KEYS), max_size=len(RISK_KEYS),
+        ),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(RISK_KEYS),
+                st.sampled_from(RISK_NAMES),
+                st.one_of(st.none(), st.sampled_from("xyz")),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_indexed_risk_equals_row_by_row_count(
+        self, semantics, anon_set, values, edits
+    ):
+        """After any sequence of ``suppress`` (value None) and
+        ``recode`` calls, ``risk_of`` read from the per-microDB
+        GroupIndex equals the row-by-row count under both semantics,
+        with an anonSet (A and B compared) and without (every name,
+        the weight W included)."""
+        facts = [
+            Atom.of("tuple", db, i, frozenset(zip(RISK_NAMES, row)))
+            for (db, i), row in zip(RISK_KEYS, values)
+        ]
+        if anon_set:
+            facts += [Atom.of("anonSet", db, frozenset("AB"))
+                      for db in ("m", "n")]
+        context = ExternalContext(FactStore(facts), NullFactory())
+        state = CycleState(k=2, semantics=semantics)
+        for (db, i), name, value in edits:
+            if value is None:
+                state.suppress(context, db, i, name)
+            else:
+                state.recode(context, db, i, name, value)
+            for tuple_id in {i for _, i in RISK_KEYS}:
+                assert state.risk_of(context, tuple_id) == \
+                    _expected_risk(state, tuple_id)
+        for tuple_id in {i for _, i in RISK_KEYS}:
+            assert state.risk_of(context, tuple_id) == \
+                _expected_risk(state, tuple_id)
+
+    def test_unknown_tuple_id_raises(self):
+        from repro.errors import EvaluationError
+
+        context = ExternalContext(FactStore(), NullFactory())
+        with pytest.raises(EvaluationError, match="unknown tuple id"):
+            CycleState().risk_of(context, 7)

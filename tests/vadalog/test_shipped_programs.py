@@ -352,3 +352,71 @@ class TestEngineCycle:
         result = program.run(base_facts(db, T=0.5), externals=registry)
         accepted = {i for _, i, _ in result.tuples("tupleA")}
         assert accepted == set(range(len(db)))
+
+
+#: Runs TUPLE_BUILD+SUDA on one fixed R6A4U input and prints digests
+#: of its sorted facts and of its derivations in recording order.
+_SUDA_GOLDEN_SCRIPT = '''
+import hashlib
+import json
+
+from repro.data import generate_dataset
+from repro.vadalog import Program
+from repro.vadalog.atoms import Atom
+from repro.vadalog_programs import SUDA, TUPLE_BUILD, cycle_registry
+
+db = generate_dataset("R6A4U", seed=7, scale=600)
+facts = db.to_facts()
+facts.append(Atom.of("anonSet", db.name, frozenset(db.quasi_identifiers)))
+facts.append(Atom.of("param", "suda_k", 3))
+result = Program.parse(TUPLE_BUILD + SUDA).run(
+    facts, externals=cycle_registry()[0]
+)
+derivations = "\\n".join(
+    f"{d.fact} <- {d.rule_label} {[str(p) for p in d.premises]}"
+    for d in result.provenance.derivations()
+)
+print(json.dumps({
+    "facts": hashlib.sha1(
+        "\\n".join(sorted(map(str, result.store.facts()))).encode()
+    ).hexdigest(),
+    "derivations": hashlib.sha1(derivations.encode()).hexdigest(),
+    "stats": {
+        key: result.stats[key]
+        for key in ("facts", "rounds", "nulls_introduced", "derivations")
+    },
+}))
+'''
+
+
+class TestSudaGolden:
+    """The exact labelled facts of TUPLE_BUILD+SUDA on a 10-row R6A4U
+    input, null labels included, plus its derivations (premises and
+    recording order).  Conformance compares only up to null
+    isomorphism, so this is what catches a change in the order the
+    chase invents nulls.  Firing order follows set iteration order, so
+    the run pins ``PYTHONHASHSEED=0`` in a child process."""
+
+    EXPECTED = {
+        "facts": "fc714f1ebd21bda675439521e1f7faec8588e90d",
+        "derivations": "bb770073241e657708ff31c9156d11a005232cb7",
+        "stats": {"facts": 4401, "rounds": 24, "nulls_introduced": 704,
+                  "derivations": 4314},
+    }
+
+    def test_labelled_facts_and_derivations_are_pinned(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONHASHSEED="0",
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        completed = subprocess.run(
+            [sys.executable, "-c", _SUDA_GOLDEN_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(completed.stdout) == self.EXPECTED
