@@ -356,7 +356,10 @@ def _command_explain(args) -> int:
     else:
         if not args.no_preflight:
             program.preflight()
-        engine = ChaseEngine(program.rules, egds=program.egds)
+        engine = ChaseEngine(
+            program.rules, egds=program.egds,
+            operational_negation=program.operational_negation(),
+        )
         doc = engine.explain()
     print(render_explain(doc))
     if args.json_out is not None:

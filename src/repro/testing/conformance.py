@@ -141,6 +141,7 @@ def _run_oracle(
             max_rounds=max_rounds,
             max_facts=max_facts,
             termination=termination,
+            operational_negation=program.operational_negation(),
         )
     except Exception as exc:  # noqa: BLE001
         if "exceeded" in str(exc):

@@ -4,7 +4,9 @@ Codes:
 
 * ``VDL010`` (error) — negation occurs inside a dependency cycle: the
   program has no stratification and the chase will refuse it.  The
-  offending cycle is printed predicate by predicate.
+  offending cycle is printed predicate by predicate.  A predicate
+  declared with ``@operational_negation("p")`` is exempt: its negation
+  reads the live store (see :mod:`repro.vadalog.negation`).
 * ``VDL011`` (warning) — vacuous negation: the negated predicate is
   never derivable (no rule head, no inline fact, not ``@input``, not
   external), so the literal is always true and can be deleted.
@@ -22,7 +24,7 @@ from typing import Iterable, List
 
 import networkx as nx
 
-from ..negation import DependencyGraph
+from ..negation import DependencyGraph, operational_predicates
 from .diagnostics import Diagnostic, ERROR, Span, WARNING
 from .manager import AnalysisContext, register_pass
 
@@ -50,9 +52,10 @@ def check_stratification(context: AnalysisContext) -> Iterable[Diagnostic]:
         for predicate in component:
             component_of[predicate] = index
 
+    operational = operational_predicates(context.annotations)
     reported = set()
     for source, target, data in graph.edges(data=True):
-        if not data.get("negated"):
+        if not data.get("negated") or source in operational:
             continue
         if component_of[source] != component_of[target]:
             continue

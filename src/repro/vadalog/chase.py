@@ -11,6 +11,12 @@ Semantics implemented here:
   the head atoms (:class:`~repro.vadalog.columnar.HeadImageCheck`).
 * **Stratified negation**: negative literals are checked against the
   saturated lower strata (enforced by stratification).
+* **Operational negation** for predicates the program declares with
+  ``@operational_negation``: the negated literal reads the live store
+  of its own stratum, as an absence check in the rule's plans, and
+  again just before each row fires unless
+  :func:`~repro.vadalog.plans.absence_exact` proves the
+  application-start read exact.
 * **Monotonic aggregation** with contributor semantics: aggregate
   predicates are *functional* per group — when a group's value improves
   the previously emitted fact is retracted and replaced, so downstream
@@ -41,7 +47,8 @@ from ..telemetry.inspect import ChaseProgress, PlanAnalysis
 from ..telemetry.metrics import MetricsRegistry
 from .atoms import Fact
 from .aggregates import AggregateState
-from .columnar import HeadImageCheck, MaskRecord, _RowView, execute_batch
+from .columnar import HeadImageCheck, MaskRecord, _RowView, \
+    absence_holds, execute_batch
 from .database import FactStore
 from .egd import EGDViolation, enforce_egds
 from .expressions import TupleExpr, VarRef
@@ -238,6 +245,7 @@ class ChaseEngine:
         analyze: bool = False,
         heartbeat_interval: float = 0.0,
         stall_threshold: float = 30.0,
+        operational_negation: Iterable[str] = (),
     ):
         if termination not in ("restricted", "isomorphic"):
             raise EvaluationError(
@@ -247,6 +255,10 @@ class ChaseEngine:
         self.termination = termination
         self.rules = list(rules)
         self.egds = list(egds)
+        #: Predicates whose negation reads the live store (declared
+        #: with ``@operational_negation``; see
+        #: :mod:`repro.vadalog.negation`).
+        self.operational_negation = frozenset(operational_negation)
         self.externals = externals or ExternalRegistry()
         self.routing = routing or RoutingTable()
         self.provenance_enabled = provenance
@@ -296,7 +308,10 @@ class ChaseEngine:
         null_factory = self._null_factory or NullFactory()
         context = ExternalContext(store, null_factory)
         violations: List[EGDViolation] = []
-        strata = stratify(self.rules) if self.rules else []
+        strata = (
+            stratify(self.rules, self.operational_negation)
+            if self.rules else []
+        )
         total_rounds = 0
 
         metrics = MetricsRegistry() if telemetry.state.enabled else None
@@ -468,7 +483,7 @@ class ChaseEngine:
                     metrics.counter("chase.plan_cache_hits").inc()
                 continue
             start = time.perf_counter_ns() if metrics is not None else 0
-            plans = compile_rule_plans(rule)
+            plans = compile_rule_plans(rule, self.operational_negation)
             self._plan_cache[id(rule)] = plans
             if metrics is not None:
                 metrics.histogram("chase.plan_compile_ns").observe(
@@ -493,7 +508,10 @@ class ChaseEngine:
         :func:`repro.telemetry.inspect.render_explain`."""
         self._compile_plans(self._metrics)
         try:
-            strata = stratify(self.rules) if self.rules else []
+            strata = (
+                stratify(self.rules, self.operational_negation)
+                if self.rules else []
+            )
         except Exception:
             # Unstratifiable programs still get a static explain —
             # the chase would reject them, the plan dump should not.
@@ -722,7 +740,10 @@ class ChaseEngine:
         on the rule's shape alone, so it is computed once per rule.
 
         Everything the bulk paths skip must be unobservable: no
-        externals (they expand at fire time under routing order).  The
+        externals (they expand at fire time under routing order).
+        Operational negation does not matter to the facts path: its
+        rows are probed again just before they fire, in batch order,
+        when the application-start read is not exact.  The
         facts path takes existential rules under the restricted chase
         (one :class:`HeadImageCheck` per application decides the rows
         in batch order, which is the per-binding firing order) but not
@@ -732,8 +753,10 @@ class ChaseEngine:
         order-dependent effect) and no aggregate input reading another
         aggregate's target (per-binding firing evaluates later
         aggregates with earlier targets already substituted).
-        Provenance does not matter: the aggregate path records one
-        derivation per group fact it adds."""
+        The aggregate path also needs an exact absence read: it
+        contributes every row before emitting.  Provenance does not
+        matter: the aggregate path records one derivation per group
+        fact it adds."""
         mode = self._batch_fire_modes.get(id(rule))
         if mode is not None or id(rule) in self._batch_fire_modes:
             return mode
@@ -745,6 +768,8 @@ class ChaseEngine:
         if any(lit.atom.is_external for lit in rule.body):
             return None
         if rule.has_aggregates:
+            if self._plan_cache[id(rule)].absence_recheck:
+                return None
             targets = {agg.target for agg in rule.aggregates}
             for condition in rule.conditions:
                 if targets & set(condition.variables()):
@@ -771,7 +796,9 @@ class ChaseEngine:
         """Bulk head firing.  Duplicate bindings (within or across
         delta plans) need no dedup pass: the store add is idempotent
         and provenance records first-added atoms only, exactly as the
-        deduped row path would.  An existential rule's rows fire in
+        deduped row path would.  A row whose absence key is no longer
+        absent (:attr:`RulePlans.absence_recheck`) does not fire.  An
+        existential rule's rows fire in
         batch order unless the application's :class:`HeadImageCheck`
         blocks their frontier key; a fired row draws its fresh nulls
         then, so null labels, premises (the first occurrence's) and
@@ -780,6 +807,7 @@ class ChaseEngine:
         head = rule.head
         label = rule.label
         track = self.provenance_enabled
+        recheck = plans.absence_recheck
         changed = False
         check = None
         if plans.head_plan is not None:
@@ -803,6 +831,8 @@ class ChaseEngine:
             view = _RowView(batch.cols)
             for i in range(batch.n):
                 view.i = i
+                if recheck and not absence_holds(recheck, store, view):
+                    continue
                 if check is not None:
                     key = batch_keys[b][i]
                     if check.blocks(key):
@@ -1022,8 +1052,15 @@ class ChaseEngine:
                 check = HeadImageCheck(
                     head_plan, store, map(head_plan.key, upfront)
                 )
+            recheck = plans.absence_recheck
             changed = False
             for substitution in ordered:
+                # The body's absence checks hold before its externals
+                # run, so a rejected row causes no side effects.
+                if recheck and not absence_holds(
+                    recheck, store, substitution
+                ):
+                    continue
                 premises = premises_of.get(id(substitution), [])
                 for full in self._expand_externals(
                     plans.deferred, external_literals, substitution,

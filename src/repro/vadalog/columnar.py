@@ -18,7 +18,10 @@ Three pieces live here:
   :mod:`repro.vadalog.plans`.  The whole delta frontier flows through
   a plan as parallel columns: scan steps are hash joins that expand
   the batch, assignments/conditions evaluate per row through a
-  zero-copy :class:`_RowView`, negation checks filter rows in place.
+  zero-copy :class:`_RowView`, negation and absence checks filter rows
+  with one probe per distinct key.  :func:`absence_holds` probes one
+  row's absence keys again just before it fires, when the
+  application-start read is not exact.
 * :class:`HeadImageCheck` — the restricted chase's blocking decision
   for one rule application, made by running the rule's compiled head
   plan over the batch of frontier keys.
@@ -347,6 +350,23 @@ class ColumnarRelation:
                     "store.columnar.group_index_builds"
                 ).inc()
         return index
+
+    def distinct_keys(self, positions: Tuple[int, ...]) -> int:
+        """How many keys the group index on ``positions`` has: read
+        from the index when one exists, else counted over the live
+        code columns without building one."""
+        index = self.groups.get(positions)
+        if index is not None:
+            return len(index)
+        self._encode_pending(positions)
+        columns = [self.columns[p] for p in positions]
+        keys = columns[0] if len(columns) == 1 else zip(*columns)
+        if not self.dead:
+            return len(set(keys))
+        dead = self.dead
+        return len({
+            key for rowid, key in enumerate(keys) if rowid not in dead
+        })
 
     def delta_view(
         self, positions: Tuple[int, ...]
@@ -766,6 +786,8 @@ def _apply_filter(
 def _apply_negation(
     step: NegationStep, store, batch: Batch, stats
 ) -> Batch:
+    """Keep the rows whose negated atom has no fact, probing the store
+    once per distinct key."""
     probe = store.probe
     positions = step.key_positions
     predicate = step.predicate
@@ -775,16 +797,21 @@ def _apply_negation(
             (slot, batch.cols[var]) for slot, var in step.key_vars
         ]
         template = list(step.key_consts)
+        absent: Dict[Tuple, bool] = {}
         for i in range(batch.n):
             for slot, col in key_cols:
                 template[slot] = col[i]
-            facts = probe(predicate, positions, tuple(template))
-            if stats is not None:
-                stats.probe_calls += 1
-                if facts:
-                    stats.probe_hits += 1
-                    stats.rows_scanned += len(facts)
-            if not facts:
+            key = tuple(template)
+            ok = absent.get(key)
+            if ok is None:
+                facts = probe(predicate, positions, key)
+                if stats is not None:
+                    stats.probe_calls += 1
+                    if facts:
+                        stats.probe_hits += 1
+                        stats.rows_scanned += len(facts)
+                ok = absent[key] = not facts
+            if ok:
                 keep.append(i)
     else:
         facts = probe(predicate, positions, step.key_consts)
@@ -800,6 +827,19 @@ def _apply_negation(
     if len(keep) == batch.n:
         return batch
     return batch.take(keep)
+
+
+def absence_holds(steps, store, row) -> bool:
+    """Whether ``row`` (a mapping of variables) passes every absence
+    check in ``steps`` against the store as it stands: the probe just
+    before a row fires, shared by bulk and per-binding firing."""
+    for step in steps:
+        template = list(step.key_consts)
+        for slot, variable in step.key_vars:
+            template[slot] = row[variable]
+        if store.probe(step.predicate, step.key_positions, tuple(template)):
+            return False
+    return True
 
 
 def execute_batch(

@@ -132,8 +132,8 @@ class FactStore:
         """Facts per distinct key of the composite index a probe on
         ``positions`` reads: the expected size of one probe's result
         (0 for an empty relation, every fact for a keyless scan, 1 for
-        a full-key membership probe).  Builds the index if no probe has
-        yet."""
+        a full-key membership probe).  Pricing builds no index: an
+        unbuilt one is counted over the code columns."""
         relation = self._relations.get(predicate)
         if relation is None or not relation.live_count:
             return 0.0
@@ -141,8 +141,7 @@ class FactStore:
             return float(relation.live_count)
         if len(positions) == relation.arity:
             return 1.0
-        groups = len(relation.ensure_group(positions))
-        return relation.live_count / groups
+        return relation.live_count / relation.distinct_keys(positions)
 
     # -- semi-naive bookkeeping --------------------------------------------
 

@@ -8,17 +8,39 @@ handled incrementally by the chase.
 
 The stratification is computed from strongly connected components of
 the dependency graph, condensed and topologically ordered.
+
+**Operational negation.**  A program may declare a predicate as read
+operationally with ``@operational_negation("p").``: a negated ``p``
+literal then reads the live store when its rule applies, and again when
+each of its rows fires, instead of a saturated lower stratum.  That is
+how the Vadalog system reads Algorithm 6's ``not In(A, Z1)``, which
+negates a predicate of its own recursive component.  The declaration
+exempts exactly those same-component negations from the
+stratifiability check; every other negation through recursion is
+still an error.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import networkx as nx
 
 from ..errors import StratificationError
 from .rules import EGD, Rule
+
+
+def operational_predicates(
+    annotations: Iterable[Tuple[str, Tuple]]
+) -> FrozenSet[str]:
+    """The predicates ``@operational_negation("p")`` annotations
+    declare as read operationally."""
+    return frozenset(
+        str(args[0])
+        for name, args in annotations
+        if name == "operational_negation" and args
+    )
 
 
 class DependencyGraph:
@@ -77,12 +99,16 @@ class DependencyGraph:
         return set(nx.ancestors(self.graph, predicate))
 
 
-def stratify(rules: Sequence[Rule]) -> List[List[Rule]]:
+def stratify(
+    rules: Sequence[Rule], operational: FrozenSet[str] = frozenset()
+) -> List[List[Rule]]:
     """Partition rules into strata.
 
     Each stratum is a list of rules that may be evaluated together to a
     fixpoint; strata are returned bottom-up.  Raises
-    :class:`StratificationError` when negation occurs inside a cycle.
+    :class:`StratificationError` when negation occurs inside a cycle,
+    unless the negated predicate is one of the ``operational`` ones
+    (see the module docstring).
     """
     dependency = DependencyGraph(rules)
     graph = dependency.graph
@@ -92,11 +118,14 @@ def stratify(rules: Sequence[Rule]) -> List[List[Rule]]:
         for predicate in component:
             component_of[predicate] = index
 
-    # Negation inside an SCC is unstratifiable.
+    # Negation inside an SCC is unstratifiable unless declared
+    # operational.
     for source, target, data in graph.edges(data=True):
-        if data.get("negated") and component_of[source] == component_of[
-            target
-        ]:
+        if (
+            data.get("negated")
+            and source not in operational
+            and component_of[source] == component_of[target]
+        ):
             raise StratificationError(
                 f"negation cycle through predicates {source!r} and "
                 f"{target!r}: the program is not stratifiable"

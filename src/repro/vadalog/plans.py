@@ -17,10 +17,15 @@ partial bindings:
   that feeds a later literal (``Q = project(VSet, ASet)`` feeding
   ``tupleFreq(Q, F)``) turns that literal's enumeration from a cross
   product filtered afterwards into a single hash probe.
-* :class:`NegationStep` — a stratified negation check, scheduled once
-  every positively-bindable variable of the negated atom is bound.
-  Its layout deliberately ignores assignment-bound variables: a rule
-  body checks negation over its positive join, before assignments run.
+* :class:`NegationStep` — a negation check, scheduled once every
+  positively-bindable variable of the negated atom is bound.  Its
+  layout deliberately ignores assignment-bound variables: a rule body
+  checks negation over its positive join, before assignments run.  A
+  stratified check reads the saturated lower strata; an *absence
+  check* (a predicate declared ``@operational_negation``) reads the
+  live store inside the stratum, and :func:`absence_exact` decides
+  whether that application-start read still holds when each row
+  fires.
 
 Literal order is fixed up front by a greedy bound-position /
 shared-variable / arity heuristic; the delta literal always leads.
@@ -44,7 +49,8 @@ compilation with an :class:`~repro.errors.EvaluationError`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, \
+    Tuple
 
 from ..errors import EvaluationError
 from .atoms import Assignment, Atom, Condition, Literal
@@ -154,7 +160,12 @@ class FilterStep(_Step):
 
 
 class NegationStep(_Step):
-    """Negation-as-failure over the saturated lower strata.
+    """Negation-as-failure: the batch rows whose key has no fact.
+
+    A stratified check reads the saturated lower strata.  An
+    ``operational`` one (an *absence check*) reads the live store of
+    its own stratum; the rows it keeps may still have to be probed
+    again when they fire (see :func:`absence_exact`).
 
     The probe layout treats only *positively* bindable variables as
     bound — negation is checked over the positive join, before
@@ -164,11 +175,13 @@ class NegationStep(_Step):
     """
 
     __slots__ = ("atom", "predicate", "key_positions", "key_consts",
-                 "key_vars")
+                 "key_vars", "operational")
 
-    def __init__(self, atom: Atom, positive_vars: Set[Variable]):
+    def __init__(self, atom: Atom, positive_vars: Set[Variable],
+                 operational: bool = False):
         self.atom = atom
         self.predicate = atom.predicate
+        self.operational = operational
         bindable = {
             v for v in atom.variables()
             if not v.is_anonymous and v in positive_vars
@@ -187,13 +200,17 @@ class NegationStep(_Step):
             if isinstance(source, Variable)
         )
 
+    @property
+    def op(self) -> str:
+        return "absence-check" if self.operational else "negation-check"
+
     def describe(self) -> str:
         keys = ",".join(str(p) for p in self.key_positions)
-        return f"negation-check not {self.atom} [key positions {keys}]"
+        return f"{self.op} not {self.atom} [key positions {keys}]"
 
     def explain(self) -> Dict[str, Any]:
         return {
-            "op": "negation-check",
+            "op": self.op,
             "detail": self.describe(),
             "predicate": self.predicate,
             "key_positions": list(self.key_positions),
@@ -258,6 +275,53 @@ def own_key_exact(atoms: Sequence[Atom], existentials: Set[Variable]) -> bool:
         for i in linked:
             reached |= per_atom[i]
             pending.remove(i)
+    return True
+
+
+def absence_exact(rule: Rule, checks: Sequence[NegationStep]) -> bool:
+    """Is the application-start read of the rule's absence ``checks``
+    still right when each row fires?  True when every head atom on an
+    absent predicate carries, at one of that check's key positions, an
+    existential variable or a constant other than the check's, and the
+    rule is not an aggregate rule writing an absent predicate.
+
+    Proof.  A rule application runs its plans, then fires its rows;
+    other rules' applications (aggregate ones included) and the EGD
+    pass never run in between, so the store changes only by the
+    application's own firings (external atoms could assert anything,
+    so a rule with one probes again whatever this predicate says).  An
+    aggregate rule's emission replaces facts as well as adding them,
+    which the second condition rules out for absent predicates; every
+    other firing only adds facts, the head atoms instantiated at its
+    binding with fresh nulls for the existentials.  Such a fact ``f``
+    from head atom ``h`` matches a row's absence key only if ``f``
+    agrees with the key at every key position ``p``.  Where ``h`` has
+    an existential at ``p``, ``f`` holds a null drawn after the plans
+    ran, while the key holds a constant or a term bound from a fact
+    stored before them: no match.  Where ``h`` has a constant other
+    than the check's constant at ``p``: no match.  So a key absent
+    when the plans ran is absent when its row fires.  ∎
+
+    For SUDA's rule 3, ``not in(A, Z1)`` keys on both positions and
+    the head's ``in(A, Z)`` carries the existential ``Z`` at position
+    1.  A head writing the absent predicate at body-bound values, as
+    in ``p(X, Y), not seen(Y) -> seen(Y)``, is not exact: the first
+    row per ``Y`` to fire blocks the rest."""
+    existentials = rule.existential_variables()
+    for check in checks:
+        for atom in rule.head:
+            if atom.predicate != check.predicate:
+                continue
+            if rule.has_aggregates or not any(
+                atom.terms[p] in existentials
+                or (
+                    not isinstance(atom.terms[p], Variable)
+                    and not isinstance(check.atom.terms[p], Variable)
+                    and atom.terms[p] != check.atom.terms[p]
+                )
+                for p in check.key_positions
+            ):
+                return False
     return True
 
 
@@ -335,11 +399,11 @@ class RulePlans:
 
     __slots__ = (
         "rule", "first_round", "delta_plans", "has_positives", "binds",
-        "deferred", "head_plan",
+        "deferred", "head_plan", "absence_recheck",
     )
 
     def __init__(self, rule, first_round, delta_plans, has_positives,
-                 binds, deferred, head_plan=None):
+                 binds, deferred, head_plan=None, absence_recheck=()):
         self.rule = rule
         self.first_round = first_round
         #: ``(literal_index, predicate, plan)`` triples.
@@ -353,6 +417,10 @@ class RulePlans:
         self.deferred = deferred
         #: :class:`HeadPlan` of an existential rule, else None.
         self.head_plan = head_plan
+        #: Absence checks each row is probed against again just before
+        #: it fires: the rule's operational negations, unless
+        #: :func:`absence_exact` holds and the rule has no externals.
+        self.absence_recheck = absence_recheck
 
     def describe(self) -> Dict[str, List[str]]:
         return {name: plan.describe() for name, plan in self.named_plans()}
@@ -416,6 +484,7 @@ def _build_plan(
     conditions: List[Condition],
     positive_vars: Set[Variable],
     delta_index: Optional[int],
+    operational: FrozenSet[str],
 ) -> JoinPlan:
     steps: List[_Step] = []
     known: Set[Variable] = set()
@@ -437,7 +506,8 @@ def _build_plan(
         drained.  Negation
         checks are pure store probes over positively-bound variables:
         they cannot raise and their outcome is fixed by their key
-        values, so they schedule freely.
+        values, so they schedule freely (an absence check too: the
+        store does not change while the plan runs).
         """
         changed = True
         while changed:
@@ -448,9 +518,10 @@ def _build_plan(
                     if not v.is_anonymous and v in positive_vars
                 }
                 if needed <= known_positive:
-                    steps.append(
-                        NegationStep(literal.atom, known_positive)
-                    )
+                    steps.append(NegationStep(
+                        literal.atom, known_positive,
+                        literal.atom.predicate in operational,
+                    ))
                     pending_negatives.remove(literal)
                     changed = True
             while pending_assignments and all(
@@ -507,8 +578,11 @@ def _build_plan(
     return JoinPlan(rule, steps, delta_index)
 
 
-def compile_rule_plans(rule: Rule) -> RulePlans:
-    """Compile one rule into its first-round and per-delta plans."""
+def compile_rule_plans(
+    rule: Rule, operational: FrozenSet[str] = frozenset()
+) -> RulePlans:
+    """Compile one rule into its first-round and per-delta plans.
+    Negations of ``operational`` predicates become absence checks."""
     positives = [
         lit for lit in rule.body
         if not lit.negated and not lit.atom.is_external
@@ -542,8 +616,17 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
     def build(delta_index):
         return _build_plan(
             rule, positives, negatives, list(rule.assignments),
-            plan_conditions, positive_vars, delta_index,
+            plan_conditions, positive_vars, delta_index, operational,
         )
+
+    absence = [
+        NegationStep(literal.atom, positive_vars, operational=True)
+        for literal in negatives
+        if literal.atom.predicate in operational
+    ]
+    has_externals = any(lit.atom.is_external for lit in rule.body)
+    if not has_externals and absence_exact(rule, absence):
+        absence = []
 
     return RulePlans(
         rule,
@@ -558,4 +641,5 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
         head_plan=(
             HeadPlan(rule) if rule.existential_variables() else None
         ),
+        absence_recheck=tuple(absence),
     )

@@ -15,7 +15,7 @@ from .atoms import Atom, Fact
 from .chase import ChaseEngine, ChaseResult
 from .database import FactStore
 from .externals import ExternalRegistry
-from .negation import stratify
+from .negation import operational_predicates, stratify
 from .parser.parser import parse_program
 from .routing import RoutingTable
 from .rules import EGD, Rule
@@ -70,6 +70,12 @@ class Program:
             if name == "input" and args
         ]
 
+    def operational_negation(self) -> frozenset:
+        """Predicates declared with ``@operational_negation("name")``:
+        their negation reads the live store inside the stratum (see
+        :mod:`repro.vadalog.negation`)."""
+        return operational_predicates(self.annotations)
+
     def __add__(self, other: "Program") -> "Program":
         """Compose two modules into one program."""
         if not isinstance(other, Program):
@@ -119,7 +125,7 @@ class Program:
 
     def strata(self) -> List[List[Rule]]:
         """The stratification the chase will use (bottom-up)."""
-        return stratify(self.rules)
+        return stratify(self.rules, self.operational_negation())
 
     def predicates(self) -> List[str]:
         names = set()
@@ -192,6 +198,7 @@ class Program:
             max_facts=max_facts,
             termination=termination,
             analyze=analyze,
+            operational_negation=self.operational_negation(),
         )
         return engine.run(store)
 

@@ -9,10 +9,11 @@ It re-implements the chase with none of the machinery that makes
 
 * **no semi-naive deltas** — every round re-joins every rule against
   the full fact set from scratch;
-* **no indices** — body matching scans the per-predicate fact list
-  linearly, with its own unification code (it does *not* call
-  :mod:`repro.vadalog.unification`, so index/matching bugs in the
-  engine cannot mask themselves);
+* **no kept indices** — every rule application hashes the facts of
+  each body literal afresh, on the terms fixed before the literal is
+  reached, and matches with its own unification code (it does *not*
+  call :mod:`repro.vadalog.unification`, so index/matching bugs in
+  the engine cannot mask themselves);
 * **own stratification** — a textbook counting fixpoint instead of the
   engine's networkx condensation;
 * **own homomorphism check** for the restricted chase;
@@ -30,6 +31,10 @@ Semantics implemented (mirroring the engine's documented contract):
   with the optional isomorphic-pattern blocking
   (``termination="isomorphic"``);
 * stratified negation, negated atoms checked against the live store;
+* operational negation for the predicates a program declares with
+  ``@operational_negation``: exempt from stratification inside their
+  own recursive component, checked when a rule's bindings are
+  enumerated and again against the live store when each one fires;
 * monotonic aggregation with per-contributor retention and functional
   (replace-on-update) emission;
 * EGDs enforced to their own fixpoint after every round: null
@@ -42,6 +47,7 @@ Semantics implemented (mirroring the engine's documented contract):
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import EvaluationError, StratificationError
@@ -82,19 +88,50 @@ class ReferenceResult:
 # Independent stratification (counting fixpoint, no graph library).
 
 
-def _stratum_numbers(rules: Sequence[Rule]) -> Dict[str, int]:
+def _depends_on(rules: Sequence[Rule]) -> Dict[str, Set[str]]:
+    """Predicate -> every predicate it transitively depends on, through
+    rule bodies and through co-heads of one rule (plain depth-first
+    closure)."""
+    direct: Dict[str, Set[str]] = {}
+    for rule in rules:
+        heads = rule.head_predicates()
+        body = {
+            literal.atom.predicate
+            for literal in rule.body if not literal.atom.is_external
+        }
+        for head in heads:
+            direct.setdefault(head, set()).update(body | set(heads))
+    closure: Dict[str, Set[str]] = {}
+    for start in direct:
+        seen: Set[str] = set()
+        stack = [start]
+        while stack:
+            for nxt in direct.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closure[start] = seen
+    return closure
+
+
+def _stratum_numbers(
+    rules: Sequence[Rule], operational: Set[str] = frozenset()
+) -> Dict[str, int]:
     """Assign each predicate a stratum number: ``s(head) >= s(body)``,
     ``s(head) > s(body)`` through negation, and ``s(h1) == s(h2)`` for
     co-heads of one rule (they are derived by the same firing, so they
     must reach fixpoint together).  Classic iterate-until-stable
     algorithm; a number exceeding the predicate count proves a negative
-    cycle."""
+    cycle.  A negated ``operational`` predicate that depends on the
+    rule's head (the two share a recursive component) counts as
+    positive."""
     predicates: Set[str] = set()
     for rule in rules:
         predicates.update(rule.head_predicates())
         for literal in rule.body:
             if not literal.atom.is_external:
                 predicates.add(literal.atom.predicate)
+    depends = _depends_on(rules) if operational else {}
     stratum = {pred: 0 for pred in predicates}
     limit = len(predicates) + 1
     changed = True
@@ -106,9 +143,11 @@ def _stratum_numbers(rules: Sequence[Rule]) -> Dict[str, int]:
                     continue
                 body_pred = literal.atom.predicate
                 for head in rule.head_predicates():
-                    required = stratum[body_pred] + (
-                        1 if literal.negated else 0
+                    strict = literal.negated and not (
+                        body_pred in operational
+                        and head in depends.get(body_pred, ())
                     )
+                    required = stratum[body_pred] + (1 if strict else 0)
                     if stratum[head] < required:
                         stratum[head] = required
                         if stratum[head] > limit:
@@ -127,12 +166,14 @@ def _stratum_numbers(rules: Sequence[Rule]) -> Dict[str, int]:
     return stratum
 
 
-def _reference_strata(rules: Sequence[Rule]) -> List[List[Rule]]:
+def _reference_strata(
+    rules: Sequence[Rule], operational: Set[str] = frozenset()
+) -> List[List[Rule]]:
     """Group rules bottom-up; a rule joins the stratum of its highest
     head predicate (same convention as the engine)."""
     if not rules:
         return []
-    numbers = _stratum_numbers(rules)
+    numbers = _stratum_numbers(rules, operational)
     by_rank: Dict[int, List[Rule]] = {}
     for rule in rules:
         rank = max(numbers[pred] for pred in rule.head_predicates())
@@ -169,7 +210,10 @@ def _negated_atom_has_match(
 ) -> bool:
     """Negation-as-failure test mirroring the engine: ground positions
     must agree, variable positions (only anonymous ones can remain
-    after safety validation) are independent wildcards."""
+    after safety validation) are independent wildcards.  A ground atom
+    is matched exactly when it is stored."""
+    if atom.is_ground:
+        return atom in facts_by_pred.get(atom.predicate, ())
     for fact in facts_by_pred.get(atom.predicate, ()):
         if fact.arity != atom.arity:
             continue
@@ -193,15 +237,51 @@ def _conjunction_has_image(
 ) -> bool:
     """Joint homomorphic image check: placeholder nulls map to any
     term (consistently across the conjunction); other nulls are rigid,
-    or — with ``null_to_null`` — may map to labelled nulls."""
+    or — with ``null_to_null`` — may map to labelled nulls.
+
+    Each atom's candidates are the facts agreeing with its rigid terms
+    (one scan per atom); the search then backtracks over the atoms
+    with the fewest candidates first, narrowing each atom's candidates
+    to the terms the nulls mapped so far fix."""
+
+    def rigid(term) -> bool:
+        if not isinstance(term, LabelledNull):
+            return True
+        return term not in placeholders and not null_to_null
+
+    candidates = []
+    for atom in atoms:
+        arity = len(atom.terms)
+        fixed = [
+            position for position, term in enumerate(atom.terms)
+            if rigid(term)
+        ]
+        get = itemgetter(*fixed) if fixed else (lambda terms: ())
+        want = get(atom.terms)
+        facts = [
+            fact for fact in facts_by_pred.get(atom.predicate, ())
+            if len(fact.terms) == arity and get(fact.terms) == want
+        ]
+        if not facts:
+            return False
+        candidates.append(facts)
+    order = sorted(range(len(atoms)), key=lambda i: len(candidates[i]))
 
     def search(index: int, mapping: Dict[LabelledNull, Term]) -> bool:
         if index == len(atoms):
             return True
-        atom = atoms[index]
-        for fact in facts_by_pred.get(atom.predicate, ()):
-            if fact.arity != atom.arity:
-                continue
+        atom = atoms[order[index]]
+        facts = candidates[order[index]]
+        mapped = [
+            position for position, term in enumerate(atom.terms)
+            if term in mapping
+        ]
+        if mapped:
+            # Nulls mapped by earlier atoms are fixed terms here.
+            get = itemgetter(*mapped)
+            want = get(tuple(mapping.get(term, term) for term in atom.terms))
+            facts = [fact for fact in facts if get(fact.terms) == want]
+        for fact in facts:
             extension: Dict[LabelledNull, Term] = {}
             ok = True
             for pattern, value in zip(atom.terms, fact.terms):
@@ -310,6 +390,7 @@ class NaiveChase:
         max_rounds: int = 10_000,
         max_facts: int = 5_000_000,
         termination: str = "restricted",
+        operational_negation: Iterable[str] = (),
     ):
         if termination not in ("restricted", "isomorphic"):
             raise EvaluationError(
@@ -326,6 +407,7 @@ class NaiveChase:
         self.max_rounds = max_rounds
         self.max_facts = max_facts
         self.termination = termination
+        self.operational = frozenset(operational_negation)
 
     # -- public API ----------------------------------------------------
 
@@ -341,7 +423,7 @@ class NaiveChase:
         violations: List[Tuple[Term, Term]] = []
         total_rounds = 0
 
-        for stratum in _reference_strata(self.rules):
+        for stratum in _reference_strata(self.rules, self.operational):
             # Aggregate state persists across the stratum's rounds
             # (contributions are never forgotten — Section 4.3).
             aggregate_states: Dict[Tuple[int, int], _NaiveAggregate] = {}
@@ -400,8 +482,34 @@ class NaiveChase:
         emitted: Dict[Tuple[int, int, Tuple], Fact],
     ) -> bool:
         bindings = list(self._enumerate(rule, facts_by_pred))
+        operational = [
+            literal for literal in rule.body
+            if literal.negated and literal.atom.predicate in self.operational
+        ]
+        positive_vars = {
+            variable
+            for literal in rule.body
+            if not literal.negated and not literal.atom.is_external
+            for variable in literal.variables()
+        }
         changed = False
         for substitution in bindings:
+            if operational:
+                # Operational negation reads the store as it stands
+                # now, after the firings before this one; like the
+                # enumeration, it sees the positive join only.
+                positive = {
+                    variable: term
+                    for variable, term in substitution.items()
+                    if variable in positive_vars
+                }
+                if any(
+                    _negated_atom_has_match(
+                        literal.atom.substitute(positive), facts_by_pred
+                    )
+                    for literal in operational
+                ):
+                    continue
             if rule.has_aggregates:
                 fired = self._fire_aggregate(
                     rule,
@@ -419,20 +527,46 @@ class NaiveChase:
         return changed
 
     def _enumerate(self, rule: Rule, facts_by_pred):
-        """All body matches: a full nested-loop join, every round."""
+        """All body matches: a full join in body order, every round.
+        Each literal's facts are hashed afresh per call on the terms
+        fixed before it is reached (constants and variables of earlier
+        literals), so nothing outlives the rule application."""
         positives = [
             lit
             for lit in rule.body
             if not lit.negated and not lit.atom.is_external
         ]
         negatives = [lit for lit in rule.body if lit.negated]
+        tables = []
+        bound: Set[Variable] = set()
+        for literal in positives:
+            atom = literal.atom
+            fixed = [
+                (position, term)
+                for position, term in enumerate(atom.terms)
+                if not isinstance(term, Variable) or term in bound
+            ]
+            table: Dict[Tuple, List[Fact]] = {}
+            for fact in facts_by_pred.get(atom.predicate, ()):
+                if len(fact.terms) == len(atom.terms):
+                    key = tuple(fact.terms[p] for p, _ in fixed)
+                    table.setdefault(key, []).append(fact)
+            tables.append((fixed, table))
+            bound.update(
+                v for v in literal.variables() if not v.is_anonymous
+            )
 
         def join(index: int, bindings: Dict[Variable, Term]):
             if index == len(positives):
                 yield dict(bindings)
                 return
             atom = positives[index].atom
-            for fact in list(facts_by_pred.get(atom.predicate, ())):
+            fixed, table = tables[index]
+            key = tuple(
+                bindings[term] if isinstance(term, Variable) else term
+                for _, term in fixed
+            )
+            for fact in table.get(key, ()):
                 extended = _match(atom, fact, bindings)
                 if extended is not None:
                     yield from join(index + 1, extended)
@@ -656,12 +790,16 @@ def naive_chase(
     max_rounds: int = 10_000,
     max_facts: int = 5_000_000,
     termination: str = "restricted",
+    operational_negation: Iterable[str] = (),
 ) -> ReferenceResult:
-    """One-call naive evaluation (the conformance oracle entry point)."""
+    """One-call naive evaluation (the conformance oracle entry point);
+    ``operational_negation`` names the predicates the program declares
+    with ``@operational_negation``."""
     return NaiveChase(
         rules,
         egds=egds,
         max_rounds=max_rounds,
         max_facts=max_facts,
         termination=termination,
+        operational_negation=operational_negation,
     ).run(facts)

@@ -4,7 +4,6 @@ Vadalog source modules, plus the external libraries backing them."""
 from .externals import (
     CycleState,
     cycle_registry,
-    notin_external,
     similar_external,
 )
 from .programs import (
@@ -40,7 +39,6 @@ __all__ = [
     "SUDA",
     "TUPLE_BUILD",
     "cycle_registry",
-    "notin_external",
     "program_source",
     "similar_external",
 ]

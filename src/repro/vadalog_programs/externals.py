@@ -5,8 +5,6 @@ libraries"; this module provides those libraries for the engine path:
 
 * ``#similar(A, A1)`` — the pluggable attribute-name similarity of
   Algorithm 1 Rule 2;
-* ``#notin(A, Z)`` — operational negation inside Algorithm 6's
-  recursive combination generation (see transcription notes);
 * ``#risk(I, R)`` / ``#anonymize(M, I)`` / ``#suppress(M, I, A)`` /
   ``#recode(M, I, A, Z)`` — the cycle plug-ins, sharing a
   :class:`CycleState` that tracks the current (most anonymized) version
@@ -22,9 +20,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from ..categorize.similarity import SimilarityFunction, combined
 from ..errors import EvaluationError
 from ..model.nulls import GroupIndex, semantics_by_name
-from ..vadalog.atoms import Atom
 from ..vadalog.externals import ExternalRegistry
-from ..vadalog.terms import LabelledNull, unwrap, wrap
+from ..vadalog.terms import LabelledNull, unwrap
 
 
 def similar_external(
@@ -35,17 +32,6 @@ def similar_external(
     def impl(context, a, b):
         if a is not None and b is not None and similarity(a, b) >= threshold:
             yield (a, b)
-
-    return impl
-
-
-def notin_external(predicate: str = "in"):
-    """True when ``predicate(a, z)`` is absent from the store *now*."""
-
-    def impl(context, a, z):
-        atom = Atom(predicate, (wrap(a), wrap(z)))
-        if not context.store.contains(atom):
-            yield (a, z)
 
     return impl
 
@@ -221,7 +207,6 @@ def cycle_registry(
     registry.register(
         "similar", similar_external(similarity, similarity_threshold)
     )
-    registry.register("notin", notin_external())
 
     def risk_impl(context, tuple_id, risk_value):
         computed = state.risk_of(context, tuple_id)

@@ -18,9 +18,12 @@ Transcription notes (documented deviations from the paper's listings):
   one; we transcribe the evidently intended direction (the new
   combination extends the old one with the attribute).
 * Algorithm 6's ``not In(A, Z1)`` negates a predicate inside its own
-  recursive component (unstratifiable); like the Vadalog system's
-  operational reading, we use the ``#notin`` external, which checks the
-  store at firing time.
+  recursive component, which no stratification allows.  The module
+  declares ``@operational_negation("in")`` and keeps the literal as
+  printed: like the Vadalog system's operational reading, the chase
+  checks it against the live store, as an absence check in suda-3's
+  plans (see :func:`repro.vadalog.plans.absence_exact` for why the
+  check at the start of each rule application is exact here).
 * Engine-side aggregation groups labelled nulls by label (standard
   Skolem semantics).  The maybe-match =⊥ grouping of Section 4.3 lives
   in the native path (:mod:`repro.model.nulls`); Figure 7c contrasts
@@ -210,6 +213,10 @@ SUDA = """
 @lint_ignore("VDL020", "combination nulls are joined by design; termination is guaranteed by the finite quasi-identifier lattice").
 @lint_ignore("VDL021", "combination identifiers are labelled nulls shared across atoms by construction").
 
+% Rule 3 negates in/2 inside its own recursive component, as the paper
+% prints it: read operationally, against the live store.
+@operational_negation("in").
+
 % Rule 1: focus on input tuples.
 @label("suda-1").
 tuple(M, I, VSet) -> tupleI(M, I, VSet).
@@ -222,7 +229,7 @@ tupleI(M, I, _VSet), category(M, A, "Quasi-identifier")
 % Rule 3: extend a combination with a quasi-identifier not yet in it.
 @label("suda-3").
 comb(Z1, I), tupleI(M, I, _VSet), category(M, A, "Quasi-identifier"),
-    #notin(A, Z1) -> exists(Z) comb(Z, I), inComb(Z, Z1), in(A, Z).
+    not in(A, Z1) -> exists(Z) comb(Z, I), inComb(Z, Z1), in(A, Z).
 
 % Rule 4: the new combination inherits the old one's members.
 @label("suda-4").
