@@ -24,6 +24,14 @@ A second fixed batch of 200 existential-heavy pairs follows
 predicates, atoms without existentials and disconnected existentials),
 so the restricted chase's batched image check meets every head shape.
 It has the same zero-disagreement and 90%-executed gates.
+
+A third fixed batch of 200 expression-heavy pairs
+(``p_assignment=0.8``, ``p_condition=0.5``) gives rules assignment
+literals — arithmetic, divisions whose divisor can be zero, ``case``
+with a raising branch — so the compiled column evaluator meets masked
+and raising rows, checked against the oracle's interpreter (a run both
+evaluators fail with the same error type, ``error-match``, agrees).
+Same gates.
 """
 
 import sys
@@ -39,6 +47,9 @@ BASE_SEED = 20260805
 EXISTENTIAL_SEED = 20261018
 EXISTENTIAL_EXAMPLES = 200
 EXISTENTIAL_CONFIG = GeneratorConfig(p_existential=0.8, p_multi_head=0.5)
+EXPRESSION_SEED = 20261101
+EXPRESSION_EXAMPLES = 200
+EXPRESSION_CONFIG = GeneratorConfig(p_assignment=0.8, p_condition=0.5)
 
 USAGE = (
     "usage: PYTHONPATH=src python benchmarks/smoke_conformance.py "
@@ -102,6 +113,18 @@ def main() -> int:
     print(
         f"conformance smoke OK (existential-heavy): "
         f"{compared(existential)} pairs compared, 0 disagreements"
+    )
+    expression = run_batch(
+        "expression-heavy", EXPRESSION_EXAMPLES,
+        base_seed=EXPRESSION_SEED, config=EXPRESSION_CONFIG,
+    )
+    if expression is None:
+        return 1
+    print(
+        f"conformance smoke OK (expression-heavy): "
+        f"{compared(expression)} pairs compared, "
+        f"{expression.counts.get('error-match', 0)} error-match, "
+        "0 disagreements"
     )
     return 0
 

@@ -17,6 +17,12 @@ knobs for every feature the chase supports:
   (``p_aggregate``), optionally with post-aggregate conditions;
 * EGDs (functional dependencies over a binary-or-wider predicate);
 * inequality/equality conditions between bound variables;
+* assignment rules (``p_assignment``, off by default): an assignment
+  literal — arithmetic, a division whose divisor can be zero, or a
+  ``case`` — that raises on some rows (string constants in
+  arithmetic, zero divisors), so the batch executor's masking and
+  in-place raising meet the oracle's interpreter.  Their heads are
+  predicates no rule reads, so computed values cannot recurse;
 * confidentiality seeding (``p_identifier_seed``): one EDB position
   is declared ``@category(..., "identifier")`` and filled with unique
   sentinel constants, and every derived predicate is ``@output`` — the
@@ -40,8 +46,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import StratificationError
-from ..vadalog.atoms import Annotation, Atom, Condition, Literal
-from ..vadalog.expressions import BinOp, Lit, VarRef
+from ..vadalog.atoms import Annotation, Assignment, Atom, Condition, \
+    Literal
+from ..vadalog.expressions import BinOp, Case, Expression, Lit, VarRef
 from ..vadalog.negation import stratify
 from ..vadalog.program import Program
 from ..vadalog.rules import AggregateSpec, Rule
@@ -77,6 +84,11 @@ class GeneratorConfig:
     p_multi_head: float = 0.2
     p_negation: float = 0.25
     p_condition: float = 0.2
+    #: Probability a non-aggregate rule gets an assignment literal
+    #: binding a fresh variable (which the head and conditions may
+    #: then use).  At 0 no draw is made, so the default mix generates
+    #: the same programs with or without this knob.
+    p_assignment: float = 0.0
     p_aggregate: float = 0.2
     #: Probability a generated aggregate gets a post-aggregate
     #: threshold condition.
@@ -186,6 +198,9 @@ class _Generation:
 
         if rng.random() < config.p_aggregate:
             return self._aggregate_rule(rule_no, body, bound)
+        if (config.p_assignment and bound
+                and rng.random() < config.p_assignment):
+            return self._assignment_rule(rule_no, body, bound)
 
         head_index = rng.randint(0, len(self.idb) - 1)
         head_pred = self.idb[head_index]
@@ -251,6 +266,68 @@ class _Generation:
             label=f"r{rule_no}",
             declared_existentials=used_existentials,
         )
+
+    def _assignment_rule(
+        self, rule_no: int, body: List[Literal], bound: List[Variable]
+    ) -> Rule:
+        """A rule computing ``A0`` from its body into a predicate of its
+        own that no rule reads, so computed values never feed back into
+        a body and the chase stays finite.  It may negate an EDB atom
+        and test ``A0`` in a condition, so masking meets both."""
+        rng = self.rng
+        config = self.config
+        target = Variable("A0")
+        assignment = Assignment(target, self._expression(bound))
+        if rng.random() < config.p_negation:
+            predicate = rng.choice(self.edb)
+            terms = tuple(
+                rng.choice(bound) if rng.random() < 0.8
+                else self.constant()
+                for _ in range(self.arities[predicate])
+            )
+            body.append(Literal(Atom(predicate, terms), negated=True))
+        conditions = []
+        if rng.random() < config.p_condition:
+            conditions.append(Condition(
+                BinOp("!=", VarRef(target), Lit(rng.randint(0, 1)))
+            ))
+        kept = [v for v in bound if rng.random() < 0.5][:2]
+        predicate = f"asg{rule_no}"
+        self.arities[predicate] = len(kept) + 1
+        return Rule(
+            [Atom(predicate, tuple(kept) + (target,))],
+            body,
+            conditions=conditions,
+            assignments=[assignment],
+            label=f"r{rule_no}",
+        )
+
+    def _expression(self, bound: List[Variable]) -> Expression:
+        """An assignment expression over bound variables.  Every shape
+        that can fail raises ``EvaluationError`` (type errors, a zero
+        divisor), so a program failing on several rows fails with the
+        same error type whichever row the engine or the oracle reaches
+        first."""
+        rng = self.rng
+        x = VarRef(rng.choice(bound))
+        y = VarRef(rng.choice(bound))
+        small = Lit(rng.randint(1, 2))
+        shape = rng.randint(0, 4)
+        if shape == 0:
+            # Arithmetic: raises on string or null operands.
+            return BinOp(rng.choice(["+", "-", "*"]), x, y)
+        if shape == 1:
+            # The divisor is zero whenever Y holds the literal.
+            return BinOp("/", Lit(6), BinOp("-", y, small))
+        if shape == 2:
+            return BinOp("%", x, Lit(2))
+        if shape == 3:
+            return Case(BinOp("==", x, Lit(self.constant().value)),
+                        Lit(1), y)
+        # A raising branch taken only on some rows: X == k divides by
+        # zero, other values take the safe branch.
+        return Case(BinOp("==", x, small),
+                    BinOp("/", Lit(6), BinOp("-", x, small)), Lit(0))
 
     def _aggregate_rule(
         self, rule_no: int, body: List[Literal], bound: List[Variable]

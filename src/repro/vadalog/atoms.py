@@ -44,6 +44,19 @@ class Atom:
         self.column = column
 
     @classmethod
+    def ground(cls, predicate: str, terms: Tuple[Term, ...]) -> "Atom":
+        """The fact ``predicate(terms)`` for a tuple of ground terms the
+        caller vouches for: no copy of ``terms``, no ground check."""
+        atom = cls.__new__(cls)
+        atom.predicate = predicate
+        atom.terms = terms
+        atom._hash = hash((predicate, terms))
+        atom._ground = True
+        atom.line = None
+        atom.column = None
+        return atom
+
+    @classmethod
     def of(cls, predicate: str, *values) -> "Atom":
         """Build an atom wrapping plain Python values into constants."""
         return cls(predicate, wrap_tuple(values))

@@ -37,7 +37,7 @@ Semantics implemented here:
 from __future__ import annotations
 
 import time
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, \
     Tuple
 
@@ -47,11 +47,10 @@ from ..telemetry.inspect import ChaseProgress, PlanAnalysis
 from ..telemetry.metrics import MetricsRegistry
 from .atoms import Fact
 from .aggregates import AggregateState
-from .columnar import HeadImageCheck, MaskRecord, _RowView, \
-    absence_holds, execute_batch
+from .columnar import HeadImageCheck, MaskRecord, absence_holds, \
+    execute_batch
 from .database import FactStore
 from .egd import EGDViolation, enforce_egds
-from .expressions import TupleExpr, VarRef
 from .explain import ProvenanceLog
 from .externals import ExternalContext, ExternalRegistry
 from .negation import stratify
@@ -195,36 +194,6 @@ def _tuple_column(columns: List[List[Term]], n: int) -> List[Tuple]:
     if len(columns) == 1:
         return [(value,) for value in columns[0]]
     return list(zip(*columns))
-
-
-def _contribution_column(argument, cols, n: int) -> List[Any]:
-    """Evaluate an aggregate's contribution argument over a whole batch.
-
-    Bare variable references and tuples of them — the shapes the
-    paper's programs use (``mcount``'s implicit 1, ``munion((A, V))``)
-    — evaluate without touching the per-row expression interpreter;
-    anything else falls back to row-at-a-time evaluation."""
-    if argument is None:
-        return [1] * n
-    if type(argument) is VarRef:
-        column = cols.get(argument.variable)
-        if column is not None:
-            return [unwrap(term) for term in column]
-    elif type(argument) is TupleExpr and all(
-        type(item) is VarRef for item in argument.items
-    ):
-        item_cols = [cols.get(item.variable) for item in argument.items]
-        if all(column is not None for column in item_cols):
-            return _tuple_column(
-                [[unwrap(term) for term in column] for column in item_cols],
-                n,
-            )
-    view = _RowView(cols)
-    out = []
-    for i in range(n):
-        view.i = i
-        out.append(argument.evaluate(view))
-    return out
 
 
 class ChaseEngine:
@@ -392,6 +361,8 @@ class ChaseEngine:
                                     first_round=(rounds == 1),
                                 )
                                 changed = fired or changed
+                                if metrics is not None:
+                                    store.publish_counters()
                                 if progress is not None:
                                     self._track_progress(
                                         progress, fired, rule
@@ -441,6 +412,8 @@ class ChaseEngine:
                 )
 
             store.advance_delta()
+            if metrics is not None:
+                store.publish_counters()
             run_span.set(
                 rounds=total_rounds,
                 facts=len(store),
@@ -793,21 +766,108 @@ class ChaseEngine:
         null_factory: NullFactory,
         firings: Optional[List[List[Fact]]],
     ) -> bool:
-        """Bulk head firing.  Duplicate bindings (within or across
-        delta plans) need no dedup pass: the store add is idempotent
-        and provenance records first-added atoms only, exactly as the
-        deduped row path would.  A row whose absence key is no longer
-        absent (:attr:`RulePlans.absence_recheck`) does not fire.  An
-        existential rule's rows fire in
-        batch order unless the application's :class:`HeadImageCheck`
-        blocks their frontier key; a fired row draws its fresh nulls
-        then, so null labels, premises (the first occurrence's) and
-        ``invent_null`` events match per-binding firing.  Each row that
-        adds facts is one firing, appended to ``firings`` when given."""
-        head = rule.head
+        """Bulk head firing from the batch columns.  Each head atom is
+        projected column-wise (:class:`~repro.vadalog.plans.HeadProjector`)
+        and bulk-inserted; the store drops duplicates (within or across
+        delta plans) and returns only the new facts, so no dedup pass
+        is needed and provenance records first-added facts only,
+        exactly as the deduped per-binding path would.  A rule whose
+        rows must be decided one at a time fires through
+        :meth:`_fire_rows` instead.  Each row that adds facts is one
+        firing, appended to ``firings`` when given."""
+        heads = plans.heads
+        if (plans.head_plan is not None or plans.absence_recheck
+                or not all(head.ground for head in heads)):
+            return self._fire_rows(
+                rule, plans, batches, store, provenance, null_factory,
+                firings,
+            )
+        # Head atoms grouped by predicate: a relation must receive a
+        # firing's facts in row-major order, as row-by-row firing adds
+        # them, so atoms sharing a predicate are interleaved.
+        by_predicate: Dict[str, List[int]] = {}
+        for index, head in enumerate(heads):
+            by_predicate.setdefault(head.predicate, []).append(index)
+        label = rule.label
+        track = self.provenance_enabled
+        changed = False
+        for batch in batches:
+            n = batch.n
+            cols = batch.cols
+            # (row, head index, fact) per new fact, per predicate.
+            rows: List[int] = []
+            atoms: List[int] = []
+            new: List[Fact] = []
+            for predicate, indices in by_predicate.items():
+                width = len(indices)
+                if width == 1:
+                    tuples = heads[indices[0]].project(cols, n)
+                else:
+                    tuples = [
+                        terms
+                        for row in zip(*(
+                            heads[index].project(cols, n)
+                            for index in indices
+                        ))
+                        for terms in row
+                    ]
+                positions, facts = store.insert(predicate, tuples)
+                if width == 1:
+                    rows.extend(positions)
+                    atoms.extend(repeat(indices[0], len(positions)))
+                else:
+                    rows.extend(position // width for position in positions)
+                    atoms.extend(
+                        indices[position % width] for position in positions
+                    )
+                new.extend(facts)
+            if not new:
+                continue
+            changed = True
+            order = range(len(new))
+            if len(by_predicate) > 1:
+                # Row by row, then head order: the order firing adds.
+                order = sorted(order, key=lambda k: (rows[k], atoms[k]))
+            if track:
+                premises = None
+                last = -1
+                for k in order:
+                    row = rows[k]
+                    if row != last:
+                        premises = batch.premises_row(row)
+                        last = row
+                    provenance.record(new[k], label, premises)
+            if firings is not None:
+                for _row, group in groupby(order, key=rows.__getitem__):
+                    firings.append([new[k] for k in group])
+        return changed
+
+    def _fire_rows(
+        self,
+        rule: Rule,
+        plans: RulePlans,
+        batches,
+        store: FactStore,
+        provenance: ProvenanceLog,
+        null_factory: NullFactory,
+        firings: Optional[List[List[Fact]]],
+    ) -> bool:
+        """Bulk firing one row at a time, in batch order, for the rows
+        whose firing depends on earlier rows: a row whose absence key
+        is no longer absent (:attr:`RulePlans.absence_recheck`) does
+        not fire, and an existential rule's row fires unless the
+        application's :class:`HeadImageCheck` blocks its frontier key;
+        a fired row draws its fresh nulls then, so null labels,
+        premises (the first occurrence's) and ``invent_null`` events
+        match per-binding firing.  Each row's head atoms are projected
+        from the columns; a head atom that is not ground by
+        construction raises on the first row that reaches it."""
         label = rule.label
         track = self.provenance_enabled
         recheck = plans.absence_recheck
+        recheck_vars = {
+            variable for step in recheck for _, variable in step.key_vars
+        }
         changed = False
         check = None
         if plans.head_plan is not None:
@@ -828,10 +888,15 @@ class ChaseEngine:
                 (key for keys in batch_keys for key in keys),
             )
         for b, batch in enumerate(batches):
-            view = _RowView(batch.cols)
+            cols = batch.cols
+            parts = [
+                head.parts(cols, batch.n) if head.ground else None
+                for head in plans.heads
+            ]
             for i in range(batch.n):
-                view.i = i
-                if recheck and not absence_holds(recheck, store, view):
+                if recheck and not absence_holds(
+                    recheck, store, {v: cols[v][i] for v in recheck_vars}
+                ):
                     continue
                 if check is not None:
                     key = batch_keys[b][i]
@@ -841,21 +906,25 @@ class ChaseEngine:
                         rule, existentials, null_factory
                     )
                     for variable, null in fresh.items():
-                        batch.cols[variable][i] = null
+                        cols[variable][i] = null
                 added = None
-                for atom in head:
-                    fact = atom.substitute(view)
-                    if not fact.is_ground:
+                premises = None
+                for head, part in zip(plans.heads, parts):
+                    if part is None:
+                        fact = head.atom.substitute(
+                            {v: col[i] for v, col in cols.items()}
+                        )
                         raise EvaluationError(
                             f"head atom {fact} not ground after "
                             f"substitution in rule {rule.label or rule}"
                         )
-                    if store.add(fact):
+                    terms = tuple([column[i] for column in part])
+                    for fact in store.insert(head.predicate, (terms,))[1]:
                         changed = True
                         if track:
-                            provenance.record(
-                                fact, label, batch.premises_row(i)
-                            )
+                            if premises is None:
+                                premises = batch.premises_row(i)
+                            provenance.record(fact, label, premises)
                         if firings is not None:
                             if added is None:
                                 added = []
@@ -869,6 +938,7 @@ class ChaseEngine:
         self,
         rule: Rule,
         rule_index: int,
+        plans: RulePlans,
         batches,
         store: FactStore,
         provenance: ProvenanceLog,
@@ -889,10 +959,14 @@ class ChaseEngine:
         changed the group — so rounds, delta frontiers and the changed
         flag all match.
 
-        With provenance on, each added group fact gets one derivation
-        whose premises are the group's last batch row.  Each group
-        emission that adds facts is one firing, appended to
-        ``firings`` when given."""
+        Contributions come from the rule's compiled evaluators over the
+        batch columns; the head atoms are projected from columns of the
+        touched groups' keys and values, and are ground by
+        construction (every head variable is a group-by variable or an
+        aggregate target).  With provenance on, each added group fact
+        gets one derivation whose premises are the group's last batch
+        row.  Each group emission that adds facts is one firing,
+        appended to ``firings`` when given."""
         targets = {agg.target for agg in rule.aggregates}
         group_vars = sorted(
             (v for v in rule.head_variables() if v not in targets),
@@ -905,7 +979,7 @@ class ChaseEngine:
             if state is None:
                 state = AggregateState(agg.function)
                 aggregate_states[state_key] = state
-            specs.append((agg, state))
+            specs.append((agg, state, plans.contributions[agg_index]))
         # Group key -> its last (batch index, row), in first-touch order.
         touched: Dict[Tuple, Tuple[int, int]] = {}
         for b, batch in enumerate(batches):
@@ -920,44 +994,48 @@ class ChaseEngine:
             n = batch.n
             group_keys = _tuple_column(group_cols, n)
             touched.update(zip(group_keys, zip(repeat(b), range(n))))
-            for agg, state in specs:
+            for agg, state, contribution in specs:
                 contributors = _tuple_column(
                     [cols[v] for v in agg.contributors], n
                 )
-                contributions = _contribution_column(
-                    agg.argument, cols, n
+                contributions = (
+                    [1] * n if contribution is None
+                    else contribution.values(cols, n)
                 )
                 state.absorb_many(group_keys, contributors, contributions)
+        groups = list(touched)
+        emitted = {
+            variable: [key[j] for key in groups]
+            for j, variable in enumerate(group_vars)
+        }
+        for agg, state, _ in specs:
+            emitted[agg.target] = [
+                Constant(state.value(key)) for key in groups
+            ]
+        projected = [
+            head.project(emitted, len(groups)) for head in plans.heads
+        ]
         track = self.provenance_enabled
-        substitution: Dict[Variable, Term] = {}
         changed = False
-        for group_key, (b, row) in touched.items():
-            for variable, value in zip(group_vars, group_key):
-                substitution[variable] = value
-            for agg, state in specs:
-                substitution[agg.target] = Constant(
-                    state.value(group_key)
-                )
+        for g, group_key in enumerate(groups):
             added = None
-            for atom_index, atom in enumerate(rule.head):
-                grounded = atom.substitute(substitution)
-                if not grounded.is_ground:
-                    raise EvaluationError(
-                        f"aggregate head atom {grounded} not ground in "
-                        f"rule {rule.label or rule}"
-                    )
+            for atom_index, head in enumerate(plans.heads):
+                terms = projected[atom_index][g]
                 emit_key = (rule_index, atom_index, group_key)
                 previous = emitted_aggregates.get(emit_key)
-                if previous == grounded:
-                    continue
                 if previous is not None:
+                    if previous.terms == terms:
+                        continue
                     store.retract(previous)
                     del emitted_aggregates[emit_key]
-                if not store.add(grounded):
+                new = store.insert(head.predicate, (terms,))[1]
+                if not new:
                     continue
+                grounded = new[0]
                 changed = True
                 emitted_aggregates[emit_key] = grounded
                 if track:
+                    b, row = touched[group_key]
                     provenance.record(
                         grounded,
                         rule.label,
@@ -1022,7 +1100,7 @@ class ChaseEngine:
         elif mode == "aggregates":
             rows = sum(batch.n for batch in batches)
             changed = self._fire_aggregates_batched(
-                rule, rule_index, batches, store, provenance,
+                rule, rule_index, plans, batches, store, provenance,
                 aggregate_states, emitted_aggregates, firings,
             )
         else:

@@ -7,9 +7,11 @@ Three pieces live here:
   once in a per-relation :class:`TermDictionary`; each position of the
   relation is a growable int64 column of codes (the dictionary-encoded
   columnar layout of analytic engines, and the storage split the
-  Vadalog System paper motivates for chase workloads).  A full-key
-  probe is one set lookup; a partial-key probe goes through a lazily
-  built group index ``positions -> code key -> [rowid]``.  Facts themselves are kept in
+  Vadalog System paper motivates for chase workloads).  Facts are
+  keyed by their term tuple, so a bulk insert dedups without building
+  a fact per candidate and a full-key probe is one dict lookup; a
+  partial-key probe goes through a lazily built group index
+  ``positions -> code key -> [rowid]``.  Facts themselves are kept in
   a rowid-indexed list so probe results stay ordinary
   :class:`~repro.vadalog.atoms.Fact` tuples and every row-at-a-time
   consumer (the error-masking completion search, EGDs, externals,
@@ -17,10 +19,11 @@ Three pieces live here:
 * :func:`execute_batch` — the executor for the compiled join plans of
   :mod:`repro.vadalog.plans`.  The whole delta frontier flows through
   a plan as parallel columns: scan steps are hash joins that expand
-  the batch, assignments/conditions evaluate per row through a
-  zero-copy :class:`_RowView`, negation and absence checks filter rows
-  with one probe per distinct key.  :func:`absence_holds` probes one
-  row's absence keys again just before it fires, when the
+  the batch, probing the store once per distinct key; assignments and
+  conditions run their compiled column evaluators
+  (:mod:`repro.vadalog.compiled`); negation and absence checks filter
+  rows, also with one probe per distinct key.  :func:`absence_holds`
+  probes one row's absence keys again just before it fires, when the
   application-start read is not exact.
 * :class:`HeadImageCheck` — the restricted chase's blocking decision
   for one rule application, made by running the rule's compiled head
@@ -42,15 +45,21 @@ every negation check passing.
 * if one exists, the body evaluates the expression on it (every
   earlier assignment and condition passed on the row's values), so the
   executor raises the error in place.
+
+A step first evaluates its whole column; only when that raises does it
+run the compiled row evaluator under ``try``, row by row, to make the
+decision above per raising row.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress, repeat
+from operator import itemgetter
 from time import perf_counter_ns
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, \
-    Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, \
+    Optional, Sequence, Set, Tuple
 
 try:  # pragma: no cover — exercised via HAVE_NUMPY branches
     import numpy as _np
@@ -62,7 +71,6 @@ except Exception:  # pragma: no cover — numpy is in the base image
 
 from ..telemetry import state as _telemetry
 from .atoms import Fact
-from .expressions import evaluate_to_term
 from .plans import AssignStep, FilterStep, JoinPlan, NegationStep, ScanStep
 from .rules import Rule
 from .terms import Term, Variable
@@ -99,6 +107,10 @@ class TermDictionary:
         return len(self.decode)
 
 
+def _no_facts(key) -> Tuple[Fact, ...]:
+    return ()
+
+
 def _new_column():
     return array("q")
 
@@ -125,18 +137,24 @@ class ColumnarRelation:
     backend = "columnar"
 
     __slots__ = (
-        "arity", "dictionary", "facts", "rows", "columns", "dead",
-        "row_ids", "groups", "delta", "pending", "delta_indices",
-        "live_count", "encoded_upto", "active", "row_ids_built",
-        "probes", "probe_hits",
+        "arity", "dictionary", "fact_of", "rowid_of", "rows", "columns",
+        "dead",
+        "groups", "_delta", "snapshot_upto", "pending", "delta_indices",
+        "encoded_upto", "active", "probes", "probe_hits", "adds",
+        "dedup_hits",
     )
 
     def __init__(self, arity: int):
         self.arity = arity
         self.dictionary = TermDictionary()
-        #: live facts (dedup, membership and full-key probes; encoding
-        #: is deferred, see ``_encode_pending``).
-        self.facts: Set[Fact] = set()
+        #: term tuple -> every live fact (dedup, membership and
+        #: full-key probes; encoding is deferred, see
+        #: ``_encode_pending``).
+        self.fact_of: Dict[Tuple[Term, ...], Fact] = {}
+        #: term tuple -> rowid of every live fact, built by the first
+        #: retraction (functional aggregates, EGD repairs) and kept
+        #: incremental from then on; most relations never need it.
+        self.rowid_of: Optional[Dict[Tuple[Term, ...], int]] = None
         #: rowid -> Fact (probe results decode through this list).
         self.rows: List[Fact] = []
         #: per position, the int64 code column (encoded lazily up to
@@ -144,13 +162,15 @@ class ColumnarRelation:
         self.columns = [_new_column() for _ in range(arity)]
         #: tombstoned rowids (retracted facts).
         self.dead: Set[int] = set()
-        #: full code tuple -> rowid, live encoded rows only.
-        self.row_ids: Dict[Tuple[int, ...], int] = {}
-        #: positions -> code key -> [rowid, ...] (live rows only).
+        #: positions -> code key -> [rowid, ...] (live rows only; a
+        #: key whose last row is retracted leaves the index).
         self.groups: Dict[
             Tuple[int, ...], Dict[Tuple[int, ...], List[int]]
         ] = {}
-        self.delta: Set[Fact] = set()
+        self._delta: Set[Fact] = set()
+        #: When >= 0, the frontier is every live row below this rowid
+        #: and ``_delta`` is not built yet (see :attr:`delta`).
+        self.snapshot_upto = -1
         self.pending: Set[Fact] = set()
         # Frontier-scoped views keyed by positions, rebuilt lazily
         # whenever the frontier changes (so at most once per
@@ -158,32 +178,60 @@ class ColumnarRelation:
         self.delta_indices: Dict[
             Tuple[int, ...], Dict[Tuple[Term, ...], Set[Fact]]
         ] = {}
-        self.live_count = 0
         #: rows[:encoded_upto] have codes in every *active* column;
-        #: appends past this watermark are plain list/set inserts
+        #: appends past this watermark are plain list/dict inserts
         #: until the next partial-key probe forces an encode pass.
         self.encoded_upto = 0
         #: positions whose code columns exist (column pruning: a
         #: probe activates only the positions it keys on, so the
         #: unprobed columns of a wide relation are never interned).
         self.active: Set[int] = set()
-        #: the full-key rowid map is built only when retraction (or a
-        #: whole-row account) first needs it, then kept incremental.
-        self.row_ids_built = False
-        # Always-on probe accounting (ints, no telemetry gate): the
-        # memory report surfaces these as real hit/miss counts.
+        # Always-on accounting (ints, no telemetry gate): the memory
+        # report surfaces the probe counts, and
+        # :meth:`FactStore.publish_counters` turns all four into the
+        # ``store.*`` telemetry counters.
         self.probes = 0
         self.probe_hits = 0
+        self.adds = 0
+        self.dedup_hits = 0
 
     # -- mutation ----------------------------------------------------------
 
-    def _append(self, fact: Fact) -> bool:
-        if fact in self.facts:
-            return False
-        self.facts.add(fact)
-        self.rows.append(fact)
-        self.live_count += 1
-        return True
+    def insert(
+        self,
+        predicate: str,
+        tuples: Sequence[Tuple[Term, ...]],
+        facts: Optional[Sequence[Fact]] = None,
+    ) -> Tuple[List[int], List[Fact]]:
+        """Store the facts of ``predicate`` with these ground term
+        tuples, in order, skipping any already stored (earlier in the
+        same call included).  Returns the positions in ``tuples`` of
+        the new ones and their facts, as two parallel lists.  A fact
+        object is built only for a new tuple, unless the caller passes
+        the ``facts`` (parallel to ``tuples``) to store as they are."""
+        fact_of = self.fact_of
+        rowid_of = self.rowid_of
+        rows = self.rows
+        pending = self.pending
+        positions: List[int] = []
+        new: List[Fact] = []
+        for position, terms in enumerate(tuples):
+            if terms in fact_of:
+                continue
+            fact = (
+                Fact.ground(predicate, terms) if facts is None
+                else facts[position]
+            )
+            fact_of[terms] = fact
+            if rowid_of is not None:
+                rowid_of[terms] = len(rows)
+            rows.append(fact)
+            pending.add(fact)
+            positions.append(position)
+            new.append(fact)
+        self.adds += len(new)
+        self.dedup_hits += len(tuples) - len(new)
+        return positions, new
 
     def _encode_column(self, position: int, start: int, total: int) -> None:
         """Intern ``rows[start:total]`` at one position, appending the
@@ -208,25 +256,20 @@ class ColumnarRelation:
         self,
         positions: Tuple[int, ...] = (),
         all_columns: bool = False,
-        with_row_ids: bool = False,
     ) -> None:
         """Encode lazily and *per column*: activate the columns the
         caller's key touches (interning their terms from row zero),
         catch newly appended rows up on every already-active column,
-        and keep any built group index and the full-key rowid map
-        incremental.  Ingestion stays a plain set/list insert, and a
-        probe keyed on two positions of a wide relation never
-        pays for the other columns; ``all_columns`` (byte accounting)
-        and ``with_row_ids`` (retraction, which must tombstone by
-        whole row) force the remainder."""
+        and keep any built group index incremental.  Ingestion stays a
+        plain dict/list insert, and a probe keyed on two positions of a
+        wide relation never pays for the other columns;
+        ``all_columns`` (byte accounting) forces the remainder."""
         active = self.active
-        wanted = range(self.arity) if (all_columns or with_row_ids) \
-            else positions
+        wanted = range(self.arity) if all_columns else positions
         fresh = [p for p in wanted if p not in active]
         total = len(self.rows)
         upto = self.encoded_upto
-        need_row_ids = with_row_ids and not self.row_ids_built
-        if not fresh and not need_row_ids and upto == total:
+        if not fresh and upto == total:
             return
         cells = 0
         for position in fresh:
@@ -237,74 +280,91 @@ class ColumnarRelation:
                 self._encode_column(position, upto, total)
                 cells += total - upto
             columns = self.columns
+            dead = self.dead
             # Group indices only ever span already-active positions
             # (ensure_group activates before building), so the new
-            # rows' codes are all in place.
+            # rows' codes are all in place.  A row retracted before it
+            # was encoded joins no index.
             for group_positions, index in self.groups.items():
                 group_columns = [columns[p] for p in group_positions]
                 for rowid in range(upto, total):
+                    if rowid in dead:
+                        continue
                     group_key = tuple(c[rowid] for c in group_columns)
                     bucket = index.get(group_key)
                     if bucket is None:
                         index[group_key] = [rowid]
                     else:
                         bucket.append(rowid)
-            if self.row_ids_built:
-                row_ids = self.row_ids
-                for rowid in range(upto, total):
-                    row_ids[tuple(c[rowid] for c in columns)] = rowid
             self.encoded_upto = total
         active.update(fresh)
-        if need_row_ids:
-            columns = self.columns
-            row_ids = self.row_ids
-            dead = self.dead
-            for rowid in range(total):
-                if rowid not in dead:
-                    row_ids[tuple(c[rowid] for c in columns)] = rowid
-            self.row_ids_built = True
         if cells and _telemetry.enabled:
             _telemetry.registry.counter(
                 "store.columnar.rows_encoded"
             ).inc(cells)
 
-    def add(self, fact: Fact) -> bool:
-        if not self._append(fact):
-            return False
-        self.pending.add(fact)
-        return True
+    @property
+    def delta(self) -> Set[Fact]:
+        """The semi-naive frontier.  After :meth:`reset_frontier` it is
+        every live fact stored at the reset, built on first read; the
+        chase's first round of a stratum runs no delta plan, so it
+        usually never is."""
+        upto = self.snapshot_upto
+        if upto >= 0:
+            dead = self.dead
+            rows = self.rows
+            self._delta = {
+                rows[rowid] for rowid in range(upto) if rowid not in dead
+            }
+            self.snapshot_upto = -1
+        return self._delta
+
+    @delta.setter
+    def delta(self, facts: Set[Fact]) -> None:
+        self._delta = facts
+        self.snapshot_upto = -1
+
+    def reset_frontier(self) -> None:
+        """Make every stored fact frontier, and none pending."""
+        self._delta = set()
+        self.snapshot_upto = len(self.rows)
+        self.pending = set()
+        self.delta_indices.clear()
 
     def remove(self, fact: Fact) -> bool:
-        if fact not in self.facts:
+        if self.fact_of.pop(fact.terms, None) is None:
             return False
-        self.facts.discard(fact)
-        # Tombstoning needs the rowid, so retraction forces encoding
-        # (rare: functional-aggregate replacement and EGD repairs).
-        self._encode_pending(with_row_ids=True)
-        probe = self.dictionary.probe
-        key = tuple(probe(term) for term in fact.terms)
-        rowid = self.row_ids.pop(key)
+        if self.rowid_of is None:
+            dead = self.dead
+            self.rowid_of = {
+                stored.terms: rowid
+                for rowid, stored in enumerate(self.rows)
+                if rowid not in dead
+            }
+        rowid = self.rowid_of.pop(fact.terms)
         self.dead.add(rowid)
-        self.live_count -= 1
-        if fact in self.delta:
-            self.delta.discard(fact)
+        # A snapshot frontier drops the row by its tombstone.
+        if rowid < self.snapshot_upto or fact in self._delta:
+            self._delta.discard(fact)
             # Frontier changed mid-round: every view is stale.
             self.delta_indices.clear()
         self.pending.discard(fact)
-        for positions, index in self.groups.items():
-            group_key = tuple(key[p] for p in positions)
-            bucket = index.get(group_key)
-            if bucket is not None:
-                try:
-                    bucket.remove(rowid)
-                except ValueError:  # pragma: no cover — kept defensive
-                    pass
+        if rowid < self.encoded_upto:
+            # Encoded rows sit in every built index; a row past the
+            # watermark joins none (see ``_encode_pending``).
+            columns = self.columns
+            for positions, index in self.groups.items():
+                group_key = tuple(columns[p][rowid] for p in positions)
+                bucket = index[group_key]
+                bucket.remove(rowid)
+                if not bucket:
+                    del index[group_key]
         return True
 
     # -- lookup ------------------------------------------------------------
 
     def fact_count(self) -> int:
-        return self.live_count
+        return len(self.fact_of)
 
     def iter_facts(self) -> Iterator[Fact]:
         if not self.dead:
@@ -316,12 +376,13 @@ class ColumnarRelation:
         )
 
     def contains_fact(self, fact: Fact) -> bool:
-        return fact in self.facts
+        return fact.terms in self.fact_of
 
     def clone(self) -> "ColumnarRelation":
         twin = ColumnarRelation(self.arity)
-        for fact in self.iter_facts():
-            twin._append(fact)
+        live = list(self.iter_facts())
+        twin.insert(None, [fact.terms for fact in live], live)
+        twin.adds = 0
         twin.delta = set(self.delta)
         twin.pending = set(self.pending)
         return twin
@@ -390,59 +451,73 @@ class ColumnarRelation:
                 ).inc()
         return index
 
-    def probe(
-        self,
-        predicate: str,
-        positions: Tuple[int, ...],
-        key: Tuple[Term, ...],
-        delta_only: bool = False,
-    ) -> Tuple[Fact, ...]:
-        """Same contract as :meth:`FactStore.probe`; misses on terms
-        the relation has never stored short-circuit without touching
-        an index."""
+    def prober(
+        self, positions: Tuple[int, ...], delta_only: bool = False
+    ) -> Callable[[Tuple[Term, ...]], Tuple[Fact, ...]]:
+        """A ``key -> facts`` function for repeated probes on
+        ``positions`` (the contract of :meth:`FactStore.probe`), with
+        the frontier view, encoding and group index resolved once
+        rather than per probe.  Valid while the relation is unchanged:
+        a batch plan step probes through one.  Misses on terms the
+        relation has never stored short-circuit without building an
+        index."""
         if delta_only:
             if not self.delta:
-                return ()
+                return _no_facts
             if not positions:
-                return tuple(self.delta)
-            bucket = self.delta_view(positions).get(key)
-            return tuple(bucket) if bucket else ()
-        if not self.live_count:
-            return ()
+                everything = tuple(self.delta)
+                return lambda key: everything
+            view = self.delta_view(positions)
+
+            def probe_delta(key):
+                bucket = view.get(key)
+                return tuple(bucket) if bucket else ()
+
+            return probe_delta
+        if not self.fact_of:
+            return _no_facts
         if not positions:
-            return tuple(self.iter_facts())
-        self.probes += 1
-        telemetry_on = _telemetry.enabled
-        if telemetry_on:
-            _telemetry.registry.counter("store.columnar.probes").inc()
+            everything = tuple(self.iter_facts())
+            return lambda key: everything
+        rows = self.rows
         if len(positions) == self.arity:
             # Full-key membership needs no encoding.
-            candidate = Fact(predicate, key)
-            if candidate not in self.facts:
+            fact_of = self.fact_of
+
+            def probe_full(key):
+                self.probes += 1
+                fact = fact_of.get(key)
+                if fact is None:
+                    return ()
+                self.probe_hits += 1
+                return (fact,)
+
+            return probe_full
+        self._encode_pending(positions)
+        encode = self.dictionary.encode
+        index = self.groups.get(positions)
+
+        def probe_partial(key):
+            nonlocal index
+            self.probes += 1
+            codes = []
+            for term in key:
+                code = encode.get(term)
+                if code is None:
+                    # Never-stored term: guaranteed miss, skip the index.
+                    return ()
+                codes.append(code)
+            if index is None:
+                index = self.ensure_group(positions)
+            bucket = index.get(tuple(codes))
+            if not bucket:
                 return ()
             self.probe_hits += 1
-            if telemetry_on:
-                _telemetry.registry.counter(
-                    "store.columnar.probe_hits"
-                ).inc()
-            return (candidate,)
-        self._encode_pending(positions)
-        probe = self.dictionary.probe
-        codes: List[int] = []
-        for term in key:
-            code = probe(term)
-            if code is None:
-                # Never-stored term: guaranteed miss, skip the index.
-                return ()
-            codes.append(code)
-        bucket = self.ensure_group(positions).get(tuple(codes))
-        if not bucket:
-            return ()
-        self.probe_hits += 1
-        if telemetry_on:
-            _telemetry.registry.counter("store.columnar.probe_hits").inc()
-        rows = self.rows
-        return tuple(rows[rowid] for rowid in bucket)
+            if len(bucket) == 1:
+                return (rows[bucket[0]],)
+            return tuple(map(rows.__getitem__, bucket))
+
+        return probe_partial
 
     # -- memory accounting -------------------------------------------------
 
@@ -477,7 +552,7 @@ class ColumnarRelation:
             + dictionary_bytes
         )
         return {
-            "facts": self.live_count,
+            "facts": len(self.fact_of),
             "delta": len(self.delta),
             "estimated_bytes": estimated,
             "index_entries": index_entries,
@@ -491,33 +566,6 @@ class ColumnarRelation:
 
 # ---------------------------------------------------------------------------
 # Batched plan execution.
-
-
-class _RowView:
-    """A zero-copy Mapping facade over one batch row — the object
-    handed to expression evaluation, which only ever calls ``.get``
-    (see :class:`~repro.vadalog.expressions.VarRef`)."""
-
-    __slots__ = ("cols", "i")
-
-    def __init__(self, cols: Dict[Variable, list]):
-        self.cols = cols
-        self.i = 0
-
-    def get(self, key, default=None):
-        col = self.cols.get(key)
-        if col is None:
-            return default
-        return col[self.i]
-
-    def __getitem__(self, key):
-        col = self.cols.get(key)
-        if col is None:
-            raise KeyError(key)
-        return col[self.i]
-
-    def __contains__(self, key):
-        return key in self.cols
 
 
 class Batch:
@@ -540,20 +588,21 @@ class Batch:
     def unit(cls, track_premises: bool) -> "Batch":
         return cls(1, {}, [] if track_premises else None)
 
-    def premises_row(self, i: int) -> List[Fact]:
+    def premises_row(self, i: int) -> Tuple[Fact, ...]:
         if not self.premises:
-            return []
-        return [column[i] for column in self.premises]
+            return ()
+        return tuple([column[i] for column in self.premises])
 
     def take(self, keep: List[int]) -> "Batch":
         """A new batch holding only the rows at ``keep``."""
         cols = {
-            var: [col[i] for i in keep] for var, col in self.cols.items()
+            var: list(map(col.__getitem__, keep))
+            for var, col in self.cols.items()
         }
         premises = None
         if self.premises is not None:
             premises = [
-                [col[i] for i in keep] for col in self.premises
+                list(map(col.__getitem__, keep)) for col in self.premises
             ]
         return Batch(len(keep), cols, premises)
 
@@ -622,36 +671,65 @@ def _row_completes(rule: Rule, store, batch: Batch, i: int) -> bool:
     )
 
 
+def _probe_rows(step, store, batch: Batch, stats, delta_only=False):
+    """Each batch row's probe result for ``step``, probing the store
+    once per distinct key.  Keys are built column-wise: constants in
+    place, bound variables read from their columns (a one-slot key is
+    deduplicated on the bare term)."""
+    lookup = store.prober(step.predicate, step.key_positions, delta_only)
+    n = batch.n
+    cols = batch.cols
+    if len(step.key_consts) == 1:
+        keys = cols[step.key_vars[0][1]]
+        single = True
+    else:
+        parts: List[Iterable] = [
+            repeat(const, n) for const in step.key_consts
+        ]
+        for slot, variable in step.key_vars:
+            parts[slot] = cols[variable]
+        keys = zip(*parts)
+        single = False
+    found: Dict[Any, Tuple[Fact, ...]] = {}
+    results: List[Tuple[Fact, ...]] = []
+    append = results.append
+    for key in keys:
+        facts = found.get(key)
+        if facts is None:
+            facts = found[key] = lookup((key,) if single else key)
+        append(facts)
+    if stats is not None:
+        stats.probe_calls += len(found)
+        for facts in found.values():
+            if facts:
+                stats.probe_hits += 1
+                stats.rows_scanned += len(facts)
+    return results
+
+
 def _expand_scan(
     step: ScanStep, store, batch: Batch, stats
 ) -> Batch:
-    """Hash-join one positive literal against the whole batch."""
-    probe = store.probe
-    positions = step.key_positions
-    delta_only = step.delta_only
-    predicate = step.predicate
+    """Hash-join one positive literal against the whole batch, probing
+    once per distinct key."""
     source_rows: List[int] = []
     matched: List[Fact] = []
     if step.key_vars:
-        key_cols = [
-            (slot, batch.cols[var]) for slot, var in step.key_vars
-        ]
-        template = list(step.key_consts)
-        for i in range(batch.n):
-            for slot, col in key_cols:
-                template[slot] = col[i]
-            facts = probe(predicate, positions, tuple(template),
-                          delta_only)
-            if stats is not None:
-                stats.probe_calls += 1
-            if facts:
-                if stats is not None:
-                    stats.probe_hits += 1
-                    stats.rows_scanned += len(facts)
+        for i, facts in enumerate(
+            _probe_rows(step, store, batch, stats, step.delta_only)
+        ):
+            if not facts:
+                continue
+            if len(facts) == 1:
+                matched.append(facts[0])
+                source_rows.append(i)
+            else:
                 matched.extend(facts)
-                source_rows.extend([i] * len(facts))
+                source_rows.extend(repeat(i, len(facts)))
     else:
-        facts = probe(predicate, positions, step.key_consts, delta_only)
+        facts = store.prober(
+            step.predicate, step.key_positions, step.delta_only
+        )(step.key_consts)
         if stats is not None:
             stats.probe_calls += 1
             if facts:
@@ -664,7 +742,7 @@ def _expand_scan(
             else:
                 for i in range(batch.n):
                     matched.extend(facts)
-                    source_rows.extend([i] * len(facts))
+                    source_rows.extend(repeat(i, len(facts)))
     if step.repeats and matched:
         # A repeat is always a later occurrence of one of THIS step's
         # output variables (bound occurrences become key positions),
@@ -693,92 +771,103 @@ def _expand_scan(
     # Gather: replicate surviving upstream columns, then bind the
     # step's outputs straight out of the matched facts.
     cols = {
-        var: [col[i] for i in source_rows]
+        var: list(map(col.__getitem__, source_rows))
         for var, col in batch.cols.items()
     }
-    for position, variable in step.outputs:
-        cols[variable] = [fact.terms[position] for fact in matched]
+    if step.outputs:
+        terms = [fact.terms for fact in matched]
+        for position, variable in step.outputs:
+            cols[variable] = list(map(itemgetter(position), terms))
     premises = None
     if batch.premises is not None:
         premises = [
-            [col[i] for i in source_rows] for col in batch.premises
+            list(map(col.__getitem__, source_rows))
+            for col in batch.premises
         ]
         premises.append(matched)
     return Batch(len(matched), cols, premises)
+
+
+def _evaluate_rows(
+    evaluate, rule: Rule, store, batch: Batch
+) -> Tuple[List[int], list, int, str]:
+    """Evaluate a compiled expression row by row, after its column
+    form raised: ``(rows kept, their values, rows masked, first masked
+    error)``.  A raising row that extends to a complete body match
+    raises its error in place; any other raising row is masked."""
+    keep: List[int] = []
+    values: list = []
+    masked = 0
+    first_error = ""
+    for i in range(batch.n):
+        try:
+            value = evaluate(i)
+        except Exception as exc:  # noqa: BLE001 — masking decision
+            if _row_completes(rule, store, batch, i):
+                raise
+            masked += 1
+            if not first_error:
+                first_error = type(exc).__name__
+            continue
+        keep.append(i)
+        values.append(value)
+    return keep, values, masked, first_error
 
 
 def _apply_assign(
     step: AssignStep, rule: Rule, store, batch: Batch,
     masks: Optional[List[MaskRecord]],
 ) -> Batch:
-    assignment = step.assignment
-    expression = assignment.expression
-    target = assignment.target
-    bound_col = batch.cols.get(target)
-    view = _RowView(batch.cols)
-    keep: List[int] = []
-    values: List[Term] = []
+    evaluator = step.evaluator
+    target = step.assignment.target
+    cols = batch.cols
+    n = batch.n
     masked = 0
-    first_error = ""
-    for i in range(batch.n):
-        view.i = i
-        try:
-            value = evaluate_to_term(expression, view)
-        except Exception as exc:  # noqa: BLE001 — masking decision
-            if _row_completes(rule, store, batch, i):
-                raise
-            masked += 1
-            if not first_error:
-                first_error = type(exc).__name__
-            continue
-        if bound_col is not None:
-            # A bound target degrades to an equality filter.
-            if bound_col[i] == value:
-                keep.append(i)
-        else:
-            keep.append(i)
-            values.append(value)
-    if masked and masks is not None:
-        masks.append(MaskRecord(
-            "assign", step.describe(), first_error, masked
-        ))
-    if masked or len(keep) != batch.n:
-        shrunk = batch.take(keep)
-    else:
-        shrunk = batch
-        keep = None  # values already aligned
-    if bound_col is None:
-        shrunk.cols[target] = values
-    return shrunk
+    try:
+        values = evaluator.terms(cols, n)
+        keep = None
+    except Exception:  # noqa: BLE001 — decided row by row below
+        keep, values, masked, first_error = _evaluate_rows(
+            lambda i: evaluator.term_at(cols, n, i), rule, store, batch,
+        )
+        if masked and masks is not None:
+            masks.append(MaskRecord(
+                "assign", step.describe(), first_error, masked
+            ))
+    bound_col = cols.get(target)
+    if bound_col is not None:
+        # A bound target degrades to an equality filter.
+        rows = range(n) if keep is None else keep
+        kept = [
+            i for i, value in zip(rows, values) if bound_col[i] == value
+        ]
+        return batch if len(kept) == n else batch.take(kept)
+    if keep is not None and len(keep) != n:
+        batch = batch.take(keep)
+    batch.cols[target] = values
+    return batch
 
 
 def _apply_filter(
     step: FilterStep, rule: Rule, store, batch: Batch,
     masks: Optional[List[MaskRecord]],
 ) -> Batch:
-    condition = step.condition
-    view = _RowView(batch.cols)
-    keep: List[int] = []
-    masked = 0
-    first_error = ""
-    for i in range(batch.n):
-        view.i = i
-        try:
-            ok = condition.holds(view)
-        except Exception as exc:  # noqa: BLE001 — masking decision
-            if _row_completes(rule, store, batch, i):
-                raise
-            masked += 1
-            if not first_error:
-                first_error = type(exc).__name__
-            continue
-        if ok:
-            keep.append(i)
-    if masked and masks is not None:
-        masks.append(MaskRecord(
-            "filter", step.describe(), first_error, masked
-        ))
-    if len(keep) == batch.n:
+    evaluator = step.evaluator
+    cols = batch.cols
+    n = batch.n
+    try:
+        keep = list(compress(range(n), evaluator.values(cols, n)))
+    except Exception:  # noqa: BLE001 — decided row by row below
+        rows, truths, masked, first_error = _evaluate_rows(
+            lambda i: bool(evaluator.value_at(cols, n, i)),
+            rule, store, batch,
+        )
+        keep = list(compress(rows, truths))
+        if masked and masks is not None:
+            masks.append(MaskRecord(
+                "filter", step.describe(), first_error, masked
+            ))
+    if len(keep) == n:
         return batch
     return batch.take(keep)
 
@@ -788,42 +877,24 @@ def _apply_negation(
 ) -> Batch:
     """Keep the rows whose negated atom has no fact, probing the store
     once per distinct key."""
-    probe = store.probe
-    positions = step.key_positions
-    predicate = step.predicate
-    keep: List[int] = []
     if step.key_vars:
-        key_cols = [
-            (slot, batch.cols[var]) for slot, var in step.key_vars
+        keep = [
+            i for i, facts in enumerate(
+                _probe_rows(step, store, batch, stats)
+            )
+            if not facts
         ]
-        template = list(step.key_consts)
-        absent: Dict[Tuple, bool] = {}
-        for i in range(batch.n):
-            for slot, col in key_cols:
-                template[slot] = col[i]
-            key = tuple(template)
-            ok = absent.get(key)
-            if ok is None:
-                facts = probe(predicate, positions, key)
-                if stats is not None:
-                    stats.probe_calls += 1
-                    if facts:
-                        stats.probe_hits += 1
-                        stats.rows_scanned += len(facts)
-                ok = absent[key] = not facts
-            if ok:
-                keep.append(i)
     else:
-        facts = probe(predicate, positions, step.key_consts)
+        facts = store.probe(step.predicate, step.key_positions,
+                            step.key_consts)
         if stats is not None:
             stats.probe_calls += 1
             if facts:
                 stats.probe_hits += 1
                 stats.rows_scanned += len(facts)
-        if facts:
-            keep = []
-        else:
+        if not facts:
             return batch
+        keep = []
     if len(keep) == batch.n:
         return batch
     return batch.take(keep)

@@ -23,7 +23,8 @@ through :meth:`retract`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, \
+    Optional, Sequence, Set, Tuple
 
 from ..telemetry import state as _telemetry
 from .atoms import Fact
@@ -31,34 +32,76 @@ from .columnar import ColumnarRelation
 from .terms import Term
 
 
+#: Always-on relation counters and the telemetry counters they feed.
+_PUBLISHED_COUNTERS = (
+    ("probes", "store.columnar.probes"),
+    ("probe_hits", "store.columnar.probe_hits"),
+    ("adds", "store.adds"),
+    ("dedup_hits", "store.dedup_hits"),
+)
+
+
 class FactStore:
     """A database instance: a set of facts with join indices."""
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._relations: Dict[str, ColumnarRelation] = {}
-        for fact in facts:
-            self.add(fact)
+        #: counter totals as of the last :meth:`publish_counters`.
+        self._published: Dict[str, int] = {}
+        self.add_all(facts)
 
     # -- mutation ---------------------------------------------------------
 
+    def _relation(self, predicate: str, arity: int) -> ColumnarRelation:
+        relation = self._relations.get(predicate)
+        if relation is None:
+            relation = ColumnarRelation(arity)
+            self._relations[predicate] = relation
+        return relation
+
+    def insert(
+        self, predicate: str, tuples: Sequence[Tuple[Term, ...]]
+    ) -> Tuple[List[int], List[Fact]]:
+        """Bulk insert: store the facts of ``predicate`` with these term
+        tuples, in order, dropping duplicates against the relation and
+        within ``tuples``.  Returns the positions in ``tuples`` of the
+        new facts and the facts, as two parallel lists; only new facts
+        are built.  The tuples must be ground: the engine's head
+        projectors are ground by construction, and :meth:`add`
+        checks."""
+        if not tuples:
+            return [], []
+        return self._relation(predicate, len(tuples[0])).insert(
+            predicate, tuples
+        )
+
     def add(self, fact: Fact) -> bool:
-        """Insert a fact; returns True when it is new."""
+        """Insert a fact; returns True when it is new.  The one-fact
+        case of :meth:`insert`, for callers whose facts may not be
+        ground."""
         if not fact.is_ground:
             raise ValueError(f"cannot store non-ground atom {fact}")
-        relation = self._relations.get(fact.predicate)
-        if relation is None:
-            relation = ColumnarRelation(len(fact.terms))
-            self._relations[fact.predicate] = relation
-        added = relation.add(fact)
-        if _telemetry.enabled:
-            _telemetry.registry.counter(
-                "store.adds" if added else "store.dedup_hits"
-            ).inc()
-        return added
+        relation = self._relation(fact.predicate, len(fact.terms))
+        _, new = relation.insert(fact.predicate, (fact.terms,), (fact,))
+        return bool(new)
 
     def add_all(self, facts: Iterable[Fact]) -> int:
-        """Insert many facts; returns how many were new."""
-        return sum(1 for fact in facts if self.add(fact))
+        """Insert many facts; returns how many were new.  Every fact is
+        checked ground before any is stored."""
+        grouped: Dict[str, Tuple[List[Tuple[Term, ...]], List[Fact]]] = {}
+        for fact in facts:
+            if not fact.is_ground:
+                raise ValueError(f"cannot store non-ground atom {fact}")
+            entry = grouped.get(fact.predicate)
+            if entry is None:
+                entry = grouped[fact.predicate] = ([], [])
+            entry[0].append(fact.terms)
+            entry[1].append(fact)
+        added = 0
+        for predicate, (tuples, group) in grouped.items():
+            relation = self._relation(predicate, len(tuples[0]))
+            added += len(relation.insert(predicate, tuples, group)[1])
+        return added
 
     def retract(self, fact: Fact) -> bool:
         """Remove a fact (used only for functional aggregate updates)."""
@@ -124,7 +167,22 @@ class FactStore:
         relation = self._relations.get(predicate)
         if relation is None:
             return ()
-        return relation.probe(predicate, positions, key, delta_only)
+        return relation.prober(positions, delta_only)(key)
+
+    def prober(
+        self,
+        predicate: str,
+        positions: Tuple[int, ...],
+        delta_only: bool = False,
+    ) -> Callable[[Tuple[Term, ...]], Tuple[Fact, ...]]:
+        """A ``key -> facts`` function answering :meth:`probe` for many
+        keys on one ``(predicate, positions)``, with the relation, its
+        encoding and its index resolved once.  Valid while the store is
+        unchanged (a plan step's batch)."""
+        relation = self._relations.get(predicate)
+        if relation is None:
+            return lambda key: ()
+        return relation.prober(positions, delta_only)
 
     def average_group_size(
         self, predicate: str, positions: Tuple[int, ...]
@@ -135,13 +193,14 @@ class FactStore:
         a full-key membership probe).  Pricing builds no index: an
         unbuilt one is counted over the code columns."""
         relation = self._relations.get(predicate)
-        if relation is None or not relation.live_count:
+        count = relation.fact_count() if relation is not None else 0
+        if not count:
             return 0.0
         if not positions:
-            return float(relation.live_count)
+            return float(count)
         if len(positions) == relation.arity:
             return 1.0
-        return relation.live_count / relation.distinct_keys(positions)
+        return count / relation.distinct_keys(positions)
 
     # -- semi-naive bookkeeping --------------------------------------------
 
@@ -168,9 +227,27 @@ class FactStore:
         """Mark every stored fact as 'new' — used when a stratum starts
         so its rules see all facts from lower strata once."""
         for relation in self._relations.values():
-            relation.delta = set(relation.facts)
-            relation.pending = set()
-            relation.delta_indices.clear()
+            relation.reset_frontier()
+
+    # -- telemetry -----------------------------------------------------------
+
+    def publish_counters(self) -> None:
+        """Add what the relations' always-on counters gathered since the
+        last call (or since the store was built) to the telemetry
+        registry's ``store.columnar.probes``,
+        ``store.columnar.probe_hits``, ``store.adds`` and
+        ``store.dedup_hits``.  The chase calls this once per rule
+        application while telemetry is on, instead of one registry
+        update per probe and per insert."""
+        registry = _telemetry.registry
+        relations = self._relations.values()
+        published = self._published
+        for attribute, name in _PUBLISHED_COUNTERS:
+            total = sum(getattr(r, attribute) for r in relations)
+            delta = total - published.get(attribute, 0)
+            if delta:
+                registry.counter(name).inc(delta)
+                published[attribute] = total
 
     # -- memory accounting ---------------------------------------------------
 

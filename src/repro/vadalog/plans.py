@@ -54,8 +54,9 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, \
 
 from ..errors import EvaluationError
 from .atoms import Assignment, Atom, Condition, Literal
+from .compiled import CompiledExpression
 from .rules import Rule
-from .terms import Variable
+from .terms import Term, Variable
 from .unification import probe_layout
 
 
@@ -127,10 +128,11 @@ class AssignStep(_Step):
     """Evaluate an assignment as soon as its inputs are bound.  A
     bound target degrades to an equality filter."""
 
-    __slots__ = ("assignment",)
+    __slots__ = ("assignment", "evaluator")
 
     def __init__(self, assignment: Assignment):
         self.assignment = assignment
+        self.evaluator = CompiledExpression(assignment.expression)
 
     def describe(self) -> str:
         return f"assign {self.assignment.target.name} = " \
@@ -147,10 +149,11 @@ class AssignStep(_Step):
 class FilterStep(_Step):
     """Check a boolean condition as soon as its variables are bound."""
 
-    __slots__ = ("condition",)
+    __slots__ = ("condition", "evaluator")
 
     def __init__(self, condition: Condition):
         self.condition = condition
+        self.evaluator = CompiledExpression(condition.expression)
 
     def describe(self) -> str:
         return f"filter {self.condition.expression!r}"
@@ -391,19 +394,59 @@ class HeadPlan:
         return JoinPlan(self.rule, steps, None)
 
 
+class HeadProjector:
+    """One head atom as a projection of batch columns: each position
+    reads a variable's column or holds a constant.
+
+    ``ground`` is decided once per rule: whether every variable of the
+    atom is one the firing path binds.  A projector that is ground by
+    construction yields ground term tuples, so firing skips the
+    per-fact ground check; one that is not cannot project, and firing
+    raises on the first row that reaches it."""
+
+    __slots__ = ("atom", "predicate", "ground")
+
+    def __init__(self, atom: Atom, bound: Set[Variable]):
+        self.atom = atom
+        self.predicate = atom.predicate
+        self.ground = all(
+            term in bound for term in atom.terms
+            if isinstance(term, Variable)
+        )
+
+    def parts(self, cols: Dict[Variable, list], n: int) -> List[Sequence]:
+        """Per position, the ``n`` row values: a variable's column, or
+        the constant repeated."""
+        return [
+            cols[term] if isinstance(term, Variable) else [term] * n
+            for term in self.atom.terms
+        ]
+
+    def project(
+        self, cols: Dict[Variable, list], n: int
+    ) -> List[Tuple[Term, ...]]:
+        """The atom's term tuple for each of ``n`` rows."""
+        if not self.atom.terms:
+            return [()] * n
+        return list(zip(*self.parts(cols, n)))
+
+
 class RulePlans:
     """All compiled plans for one rule: a first-round plan plus one
     delta plan per positive body literal, the head plan of an
-    existential rule, and the rule facts the engine reads per
-    application."""
+    existential rule, the head projectors and aggregate contributions
+    firing evaluates over the batch columns, and the rule facts the
+    engine reads per application."""
 
     __slots__ = (
         "rule", "first_round", "delta_plans", "has_positives", "binds",
-        "deferred", "head_plan", "absence_recheck",
+        "deferred", "head_plan", "absence_recheck", "heads",
+        "contributions",
     )
 
     def __init__(self, rule, first_round, delta_plans, has_positives,
-                 binds, deferred, head_plan=None, absence_recheck=()):
+                 binds, deferred, head_plan=None, absence_recheck=(),
+                 heads=(), contributions=()):
         self.rule = rule
         self.first_round = first_round
         #: ``(literal_index, predicate, plan)`` triples.
@@ -421,6 +464,11 @@ class RulePlans:
         #: it fires: the rule's operational negations, unless
         #: :func:`absence_exact` holds and the rule has no externals.
         self.absence_recheck = absence_recheck
+        #: One :class:`HeadProjector` per head atom, in head order.
+        self.heads = heads
+        #: Per aggregate, its compiled contribution argument (None for
+        #: an implicit ``mcount`` contribution of 1).
+        self.contributions = contributions
 
     def describe(self) -> Dict[str, List[str]]:
         return {name: plan.describe() for name, plan in self.named_plans()}
@@ -627,6 +675,11 @@ def compile_rule_plans(
     has_externals = any(lit.atom.is_external for lit in rule.body)
     if not has_externals and absence_exact(rule, absence):
         absence = []
+    # What firing binds: the plans' columns, then fresh nulls for the
+    # existentials and the aggregate targets.
+    bound = available | rule.existential_variables() | {
+        agg.target for agg in rule.aggregates
+    }
 
     return RulePlans(
         rule,
@@ -642,4 +695,10 @@ def compile_rule_plans(
             HeadPlan(rule) if rule.existential_variables() else None
         ),
         absence_recheck=tuple(absence),
+        heads=tuple(HeadProjector(atom, bound) for atom in rule.head),
+        contributions=tuple(
+            None if agg.argument is None
+            else CompiledExpression(agg.argument)
+            for agg in rule.aggregates
+        ),
     )

@@ -227,6 +227,9 @@ class TestCompositeIndices:
             store.probe("t", (0, 1), key)
             store.probe("t", (0, 1), key)
             store.probe("t", (0, 1), key, delta_only=True)
+            # Probe and insert counts are always-on relation ints that
+            # the chase publishes once per rule application.
+            store.publish_counters()
             counters = telemetry.registry().counters("store.")
             assert counters.get("store.columnar.group_index_builds") == 1
             assert counters.get("store.delta_index_builds") == 1
@@ -260,3 +263,94 @@ class TestCopyPreservesFrontier:
         clone = store.copy()
         assert not clone.has_delta()
         assert clone.has_pending() == store.has_pending()
+
+
+class TestRetractedGroupKeys:
+    """A group index drops a key whose last row is retracted, so pricing
+    does not depend on whether a probe built the index first."""
+
+    def _store(self, probe_first):
+        store = FactStore(fact("r", i % 3, i) for i in range(9))
+        if probe_first:
+            store.probe("r", (0,), (Constant(0),))
+        for i in (0, 3, 6):
+            assert store.retract(fact("r", 0, i))
+        return store
+
+    @pytest.mark.parametrize("probe_first", [False, True])
+    def test_average_group_size_after_retracting_a_key(self, probe_first):
+        store = self._store(probe_first)
+        assert store.average_group_size("r", (0,)) == 3.0
+        assert store.probe("r", (0,), (Constant(0),)) == ()
+
+    def test_rows_retracted_before_encoding_join_no_index(self):
+        store = FactStore(fact("r", i % 3, i) for i in range(3))
+        store.probe("r", (0,), (Constant(1),))  # builds the index
+        store.add(fact("r", 1, 7))
+        assert store.retract(fact("r", 1, 7))  # never encoded
+        assert store.probe("r", (0,), (Constant(1),)) == (fact("r", 1, 1),)
+        assert store.average_group_size("r", (0,)) == 1.0
+
+
+class TestBulkInsert:
+    def test_returns_only_new_tuples(self):
+        store = FactStore([fact("p", 1, "a")])
+        t = fact("p", 2, "b").terms
+        u = fact("p", 3, "c").terms
+        positions, facts = store.insert(
+            "p", [fact("p", 1, "a").terms, t, u, t]
+        )
+        assert positions == [1, 2]
+        assert facts == [fact("p", 2, "b"), fact("p", 3, "c")]
+        assert all(f.is_ground for f in facts)
+        assert store.count("p") == 3
+        assert store.insert("p", [t, u]) == ([], [])
+
+    def test_new_facts_join_the_frontier_in_order(self):
+        store = FactStore()
+        store.insert("p", [fact("p", n).terms for n in (3, 1, 2, 1)])
+        assert list(store.facts("p")) == [
+            fact("p", 3), fact("p", 1), fact("p", 2),
+        ]
+        assert store.delta("p") == set()
+        store.advance_delta()
+        assert store.delta("p") == {fact("p", 1), fact("p", 2), fact("p", 3)}
+
+    def test_add_is_the_one_fact_case(self):
+        store = FactStore()
+        kept = fact("p", 1)
+        assert store.add(kept)
+        assert next(store.facts("p")) is kept
+        assert not store.add(fact("p", 1))
+
+    def test_add_all_checks_every_fact_first(self):
+        from repro.vadalog.terms import Variable
+
+        store = FactStore()
+        with pytest.raises(ValueError):
+            store.add_all([fact("p", 1), Atom("p", (Variable("X"),))])
+        assert len(store) == 0
+
+
+class TestLazyFrontierSnapshot:
+    """reset_delta_to_all makes the stored facts the frontier without
+    building the set until something reads it."""
+
+    def test_snapshot_excludes_later_adds_and_retractions(self):
+        store = FactStore([fact("p", 1), fact("p", 2), fact("p", 3)])
+        store.advance_delta()
+        store.reset_delta_to_all()
+        store.add(fact("p", 4))
+        store.retract(fact("p", 2))
+        assert store.delta("p") == {fact("p", 1), fact("p", 3)}
+        assert store.frontier_size() == 2
+        store.advance_delta()
+        assert store.delta("p") == {fact("p", 4)}
+
+    def test_retracted_then_readded_fact_is_pending(self):
+        store = FactStore([fact("p", 1)])
+        store.reset_delta_to_all()
+        store.retract(fact("p", 1))
+        store.add(fact("p", 1))
+        assert store.delta("p") == set()
+        assert store.has_pending()
