@@ -366,3 +366,47 @@ class TestCycleProperties:
         result = anonymize(db, KAnonymityRisk(k=2), LocalSuppression())
         for before, after in zip(db.rows, result.db.rows):
             assert before["W"] == after["W"]
+
+
+class TestSudaCycleGolden:
+    """The SUDA suppression cycle on R50A9W (125 rows, nine QIs) pinned
+    end to end: for three dataset seeds under both semantics, one hash
+    over the ``(row, attribute)`` step sequence, the shared view (nulls
+    by label) and every iteration's report scores and details.  Any
+    change in which MSUs the search finds, or in their order, moves a
+    score, a detail or a step."""
+
+    EXPECTED = {
+        ("maybe-match", 1): "fbc48075a4aeb4e259719ee90662d7990b7cb37d",
+        ("maybe-match", 2): "580bbcd6a3867c2bcb9268a2c4db88b521f05a97",
+        ("maybe-match", 3): "074707bd022378955a93d4e8346e9e403ebd410c",
+        ("standard", 1): "3ef24c044ed9a49bdecc12838494c92c62fe07ad",
+        ("standard", 2): "6b1404aca0af98f2b753f292ca8f88b647c7fc96",
+        ("standard", 3): "36783a2cc8bdb9a6e8710f3767880dc938820550",
+    }
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_steps_view_and_reports_are_pinned(self, semantics, seed):
+        import hashlib
+
+        from repro.data.generator import generate_dataset
+
+        db = generate_dataset("R50A9W", seed=seed, scale=400)
+        result = AnonymizationCycle(
+            SudaRisk(k=3), LocalSuppression(), semantics=semantics,
+            max_iterations=6,
+        ).run(db)
+        view = result.shared_view()
+        digest = hashlib.sha1()
+        digest.update(
+            repr([(step.row, step.attribute) for step in result.steps])
+            .encode()
+        )
+        digest.update(repr([
+            tuple(str(row[a]) for a in view.schema.attributes)
+            for row in view.rows
+        ]).encode())
+        for report in result.reports:
+            digest.update(repr((report.scores, report.details)).encode())
+        assert digest.hexdigest() == self.EXPECTED[(semantics.name, seed)]
