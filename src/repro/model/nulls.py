@@ -76,7 +76,7 @@ def _row_projector(attributes: Sequence[str]) -> Callable[[Dict], Tuple]:
     return itemgetter(*attributes)
 
 
-def _null_masks(
+def null_masks(
     projections: Iterable[Tuple], bits: Tuple[int, ...]
 ) -> List[int]:
     """Each projection's null bitmask: bit j set when position j holds
@@ -134,7 +134,7 @@ class GroupIndex:
         self._project = _row_projector(self.attributes)
         self._projections: List[Tuple] = list(map(self._project, db.rows))
         if nulls_match:
-            self._masks = _null_masks(self._projections, self._bits)
+            self._masks = null_masks(self._projections, self._bits)
         else:
             self._masks = [0] * len(self._projections)
         #: mask -> its rows, in insertion order (a dict as ordered set)
@@ -194,7 +194,7 @@ class GroupIndex:
         semantics)."""
         if not self._nulls_match:
             return 0
-        return _null_masks([projection], self._bits)[0]
+        return null_masks([projection], self._bits)[0]
 
     def lookup(self, row: int) -> Tuple[int, float]:
         """(=⊥-match count, matched value sum) of one row at the

@@ -12,19 +12,29 @@ a tuple is dangerous (risk 1) when it has an MSU of size < k.
 The search enumerates attribute subsets in ascending size and prunes
 supersets of already-found MSUs — the same preemptive pruning the paper
 attributes to the Vadalog "greedy activation of Rule 7", which is why
-Fig. 7f shows no combinatorial blow-up.  Each subset S is decided in
-one hash pass over the rows:
+Fig. 7f shows no combinatorial blow-up.  It runs as an integer column
+kernel:
 
-* the projections onto S of the rows with no null on S are counted
-  exactly;
+* each quasi-identifier column is dictionary-encoded once, so equal
+  values (``1``, ``1.0``, ``True``) share a code; under maybe-match
+  every labelled null of a column shares one extra code, under
+  standard semantics a null is just another value;
+* a subset's key column is built from its prefix subset,
+  ``key(S) = key(S − last) · card(last) + code(last)``, and is
+  re-densified (``np.unique``) only when its span passes ``8n``, so
+  keys stay dense and cannot overflow int64;
+* one ``np.bincount`` of the key column counts every projection onto
+  S; a row is a candidate when its count is 1 and it has no null on S
+  (a null code differs from every value code, so null rows never share
+  a key with a row that has none);
 * for every null pattern P on S (the positions where a row holds a
-  labelled null), the projections onto S \\ P of the rows with that
-  pattern are collected in a set;
-* a row is unique on S when it has no null on S, its exact count is 1
-  and its projection onto S \\ P lies in none of the pattern sets — a
-  row with pattern P maybe-matches exactly the rows that agree with it
-  on S \\ P.  A row null on the whole of S lies in the set of the
-  empty projection and so matches every row.
+  labelled null), the pattern rows' keys on S \\ P, a proper subset
+  already keyed, mark a boolean table, and a candidate whose key on
+  S \\ P is marked maybe-matches one of them and is knocked out; an
+  empty S \\ P knocks out every candidate;
+* minimality is one bitmap per subset, ``covered(S) = unique(S) |
+  ⋁ covered(S \\ {a})``: the MSUs at S are ``unique(S) & ~⋁ covered(S
+  \\ {a})``, so only rows not yet covered are candidates at all.
 
 Rows that carry a null on S are never recorded on S.  Under maybe-match
 a null matches anything, so such a row matches on S exactly the rows it
@@ -33,9 +43,7 @@ searched: if the row is unique there, an MSU at or below that subset is
 already recorded and S is not minimal.  The one exception is a one-row
 table, where the row is unique on every subset, nulls included; its
 null flags are dropped so that it counts exactly and gets every
-singleton as an MSU.  Under standard semantics a null is a plain value
-equal only to itself, so every row goes through the exact counter and
-both semantics share the code path.
+singleton as an MSU.
 
 A SUDA2-style DIS score is also exposed as an extension.
 """
@@ -44,12 +52,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, NullSemantics, null_masks
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -59,68 +68,132 @@ def find_minimal_sample_uniques(
     max_size: Optional[int] = None,
     semantics: NullSemantics = MAYBE_MATCH,
 ) -> Dict[int, List[FrozenSet[str]]]:
-    """Per-row list of MSUs (as attribute-name frozensets).
+    """Per-row list of MSUs (as attribute-name frozensets), each row's
+    in subset-enumeration order.
 
     ``max_size`` bounds the subset size inspected (SUDA's usual cap);
     None inspects all sizes up to the number of attributes.
     """
     attributes = list(attributes)
-    if max_size is None:
-        max_size = len(attributes)
+    width = len(attributes)
+    top = width if max_size is None else min(max_size, width)
     n = len(db)
+    msus: Dict[int, List[FrozenSet[str]]] = {}
+    if n == 0 or top < 1:
+        return msus
     columns = [[row[a] for row in db.rows] for a in attributes]
     # Bit p of a row's mask is set when the row is null on attribute p.
-    masks = [0] * n
+    masks = None
+    bits = tuple(1 << p for p in range(width))
     if semantics.nulls_match and n > 1:
-        for position, column in enumerate(columns):
-            for index, value in enumerate(column):
-                if is_suppressed(value):
-                    masks[index] |= 1 << position
-    null_rows = [index for index in range(n) if masks[index]]
-    msus: Dict[int, List[FrozenSet[str]]] = {}
+        row_masks = null_masks(zip(*columns), bits)
+        if any(row_masks):
+            masks = np.array(row_masks)
+    encoded = [
+        _encode(column, None if masks is None
+                else (masks >> p & 1).astype(bool))
+        for p, column in enumerate(columns)
+    ]
+    bound = 8 * n
+    # subset -> (key column, span) for the sizes below ``top``: prefixes
+    # of larger subsets and the S \ P of their null patterns
+    keys: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {}
+    covered: Dict[Tuple[int, ...], np.ndarray] = {}
 
-    for size in range(1, max_size + 1):
-        for positions in itertools.combinations(range(len(attributes)), size):
-            subset_set = frozenset(attributes[p] for p in positions)
-            projections = list(zip(*(columns[p] for p in positions)))
-            subset_mask = sum(1 << p for p in positions)
-            nulled = {i for i in null_rows if masks[i] & subset_mask}
-            # Projections of the null rows onto their non-null positions,
-            # one set per null pattern.
-            pattern_sets: Dict[int, set] = defaultdict(set)
-            for index in nulled:
-                pattern = masks[index] & subset_mask
-                pattern_sets[pattern].add(
-                    _project(projections[index], positions, pattern)
-                )
-            counts = Counter(
-                key
-                for index, key in enumerate(projections)
-                if index not in nulled
-            )
-            for index, key in enumerate(projections):
-                if counts[key] != 1 or index in nulled:
-                    continue
-                if any(
-                    _project(key, positions, pattern) in keys
-                    for pattern, keys in pattern_sets.items()
-                ):
-                    continue  # a null row maybe-matches it
-                found = msus.setdefault(index, [])
-                if any(existing <= subset_set for existing in found):
-                    continue  # superset of a known MSU: not minimal
-                found.append(subset_set)
+    for size in range(1, top + 1):
+        below, covered = covered, {}
+        for positions in itertools.combinations(range(width), size):
+            codes, card = encoded[positions[-1]]
+            if size == 1:
+                key, span = codes, card
+            else:
+                prefix, prefix_span = keys[positions[:-1]]
+                key = prefix * card + codes
+                span = prefix_span * card
+                if span > bound:
+                    values, key = np.unique(key, return_inverse=True)
+                    span = len(values)
+            if size < top:
+                keys[positions] = key, span
+            unique = np.bincount(key)[key] == 1
+            # rows with an MSU inside S: those of its maximal proper
+            # subsets, then this subset's own
+            if size == 1:
+                cover = np.zeros(n, dtype=bool)
+            else:
+                cover = below[positions[1:]] | below[positions[:-1]]
+                for drop in range(1, size - 1):
+                    cover |= below[positions[:drop] + positions[drop + 1:]]
+            if masks is None:
+                rows = (unique > cover).nonzero()[0]
+            else:
+                subset_mask = sum(map(bits.__getitem__, positions))
+                row_patterns = masks & subset_mask
+                nulled = row_patterns.astype(bool)
+                rows = (unique > (cover | nulled)).nonzero()[0]
+                if rows.size:
+                    rows = _knock_out(
+                        rows, row_patterns, subset_mask, positions, keys
+                    )
+            if rows.size:
+                cover[rows] = True
+                subset = frozenset(attributes[p] for p in positions)
+                for row in rows.tolist():
+                    found = msus.get(row)
+                    if found is None:
+                        msus[row] = [subset]
+                    else:
+                        found.append(subset)
+            if size < top:
+                covered[positions] = cover
     return msus
 
 
-def _project(key: tuple, positions: Sequence[int], pattern: int) -> tuple:
-    """``key`` (a projection onto ``positions``) restricted to the
-    positions that are not set in the null ``pattern``."""
-    return tuple(
-        value
-        for value, position in zip(key, positions)
-        if not pattern >> position & 1
+def _encode(
+    column: List, nulls: Optional[np.ndarray]
+) -> Tuple[np.ndarray, int]:
+    """A column's dictionary codes and their count.  Cells flagged in
+    ``nulls`` (maybe-match labelled nulls) share the code after the
+    values'."""
+    index = {value: code for code, value in enumerate(dict.fromkeys(column))}
+    codes = np.fromiter(
+        map(index.__getitem__, column), dtype=np.int64, count=len(column)
     )
+    if nulls is None or not nulls.any():
+        return codes, len(index)
+    is_null = np.zeros(len(index), dtype=bool)
+    is_null[codes[nulls]] = True
+    values = len(index) - int(is_null.sum())
+    recode = np.cumsum(~is_null) - 1
+    recode[is_null] = values
+    return recode[codes], values + 1
+
+
+def _knock_out(
+    rows: np.ndarray,
+    row_patterns: np.ndarray,
+    subset_mask: int,
+    positions: Tuple[int, ...],
+    keys: Dict[Tuple[int, ...], Tuple[np.ndarray, int]],
+) -> np.ndarray:
+    """The candidate ``rows`` that no row with a null on the subset
+    maybe-matches.  A row with null pattern P matches a candidate when
+    the two agree on S \\ P."""
+    nulled = row_patterns.nonzero()[0]
+    by_pattern = row_patterns[nulled]
+    patterns = set(by_pattern.tolist())
+    if subset_mask in patterns:
+        return rows[:0]  # a row null on all of S matches every row
+    for pattern in patterns:
+        key, span = keys[
+            tuple(p for p in positions if not pattern >> p & 1)
+        ]
+        table = np.zeros(span, dtype=bool)
+        table[key[nulled[by_pattern == pattern]]] = True
+        rows = rows[~table[key[rows]]]
+        if not rows.size:
+            break
+    return rows
 
 
 def suda_dis_scores(

@@ -240,13 +240,14 @@ def make_db(rows, attrs):
 
 
 @st.composite
-def qi_dataset_with_nulls(draw):
-    """1-12 rows over 2-4 QIs, with a few cells replaced by fresh
-    labelled nulls."""
-    attrs = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
-    n_rows = draw(st.integers(1, 12))
+def qi_dataset_with_nulls(draw, max_qis=4, max_value=2, max_rows=12):
+    """1-``max_rows`` rows over 2-``max_qis`` QIs with values
+    0-``max_value``, with a few cells replaced by fresh labelled nulls."""
+    attrs = ["A", "B", "C", "D", "E", "F"][: draw(st.integers(2, max_qis))]
+    n_rows = draw(st.integers(1, max_rows))
     rows = [
-        {a: draw(st.integers(0, 2)) for a in attrs} for _ in range(n_rows)
+        {a: draw(st.integers(0, max_value)) for a in attrs}
+        for _ in range(n_rows)
     ]
     db = make_db(rows, attrs)
     factory = NullFactory()
@@ -282,15 +283,105 @@ def brute_force_msus(db, attributes, max_size, semantics):
 
 class TestMsuSearchOracle:
     @given(
-        qi_dataset_with_nulls(),
+        # The wide tables (up to six values on up to six QIs) give
+        # subsets whose span, the product of their columns' code
+        # counts, passes the 8n bound at which the prefix-built keys
+        # are re-densified.
+        st.one_of(
+            qi_dataset_with_nulls(),
+            qi_dataset_with_nulls(max_qis=6, max_value=5, max_rows=16),
+        ),
         st.sampled_from([MAYBE_MATCH, STANDARD]),
-        st.sampled_from([None, 1, 2]),
+        st.sampled_from([None, 1, 2, 3]),
     )
     def test_matches_brute_force(self, db, semantics, max_size):
         attrs = db.quasi_identifiers
         assert find_minimal_sample_uniques(
             db, attrs, max_size=max_size, semantics=semantics
         ) == brute_force_msus(db, attrs, max_size, semantics)
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    def test_keys_past_the_redensify_bound(self, semantics):
+        # 12 rows (bound 96) over six QIs holding all six values: every
+        # pair already spans 36 codes and every triple 216.
+        factory = NullFactory()
+        rows = [
+            {a: (row * (shift + 1) + shift) % 6
+             for shift, a in enumerate("ABCDEF")}
+            for row in range(12)
+        ]
+        rows[3]["B"] = factory.fresh()
+        rows[7]["E"] = factory.fresh()
+        db = make_db(rows, list("ABCDEF"))
+        assert find_minimal_sample_uniques(
+            db, list("ABCDEF"), semantics=semantics
+        ) == brute_force_msus(db, list("ABCDEF"), None, semantics)
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    def test_one_labelled_null_reused_across_rows(self, semantics):
+        shared = NullFactory().fresh()
+        db = make_db(
+            [
+                {"A": shared, "B": 1},
+                {"A": shared, "B": 2},
+                {"A": 1, "B": 1},
+                {"A": 2, "B": 3},
+            ],
+            ["A", "B"],
+        )
+        msus = find_minimal_sample_uniques(db, ["A", "B"], semantics=semantics)
+        assert msus == brute_force_msus(db, ["A", "B"], None, semantics)
+        if semantics is STANDARD:
+            # The shared null is one value held by two rows, not unique.
+            assert frozenset({"A"}) not in msus.get(0, [])
+            assert msus[1] == [frozenset({"B"})]
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    def test_equal_values_of_mixed_type_are_one_value(self, semantics):
+        db = make_db(
+            [
+                {"A": 1, "B": "x"},
+                {"A": 1.0, "B": "y"},
+                {"A": True, "B": "y"},
+                {"A": 2, "B": "x"},
+            ],
+            ["A", "B"],
+        )
+        msus = find_minimal_sample_uniques(db, ["A", "B"], semantics=semantics)
+        assert msus == brute_force_msus(db, ["A", "B"], None, semantics)
+        assert msus == {
+            0: [frozenset({"A", "B"})],
+            3: [frozenset({"A"})],
+        }
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    @pytest.mark.parametrize("max_size", [None, 1, 3])
+    def test_empty_table(self, semantics, max_size):
+        db = make_db([], ["A", "B", "C"])
+        assert find_minimal_sample_uniques(
+            db, ["A", "B", "C"], max_size=max_size, semantics=semantics
+        ) == {}
+
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    def test_max_size_above_the_qi_count(self, semantics):
+        factory = NullFactory()
+        db = make_db(
+            [
+                {"A": 1, "B": 2, "C": factory.fresh()},
+                {"A": 1, "B": 3, "C": 4},
+                {"A": 5, "B": 2, "C": 4},
+                {"A": 1, "B": 2, "C": 6},
+            ],
+            ["A", "B", "C"],
+        )
+        attrs = ["A", "B", "C"]
+        msus = find_minimal_sample_uniques(
+            db, attrs, max_size=7, semantics=semantics
+        )
+        assert msus == find_minimal_sample_uniques(
+            db, attrs, semantics=semantics
+        )
+        assert msus == brute_force_msus(db, attrs, 7, semantics)
 
     @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
     def test_one_row_table_has_every_singleton(self, semantics):
