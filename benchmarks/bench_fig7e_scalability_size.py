@@ -10,6 +10,7 @@ library-sampled negative binomial is costlier (library interaction
 overhead); SUDA is the most expensive.
 """
 
+import statistics
 import time
 
 import pytest
@@ -35,6 +36,10 @@ def make_measure(name: str):
 
 
 MEASURES = ("individual", "k-anonymity", "suda")
+
+#: Risk-only time is the median of this many calls: at 4 QIs SUDA's
+#: and k-anonymity's differ by about a fifth, within one call's noise.
+RISK_REPEATS = 5
 
 
 def risk_only(code: str, measure_name: str) -> float:
@@ -72,7 +77,9 @@ def figure7e_rows():
         row = [code, len(dataset(code))]
         for measure_name in MEASURES:
             row.append(round(full_cycle(code, measure_name), 4))
-            row.append(round(risk_only(code, measure_name), 4))
+            row.append(round(statistics.median(
+                risk_only(code, measure_name) for _ in range(RISK_REPEATS)
+            ), 4))
         rows.append(row)
     return rows
 
@@ -103,8 +110,8 @@ def test_fig7e_full_cycle(benchmark, measure_name):
 
 
 def test_fig7e_engine_path(benchmark):
-    # The trajectory itself is tracked by the regress.py engine_fig7e
-    # workload, not asserted here (CI noise).
+    # Engine cost is tracked by perfbench's chase_modules workload
+    # (recorded and gated by regress.py), not asserted here (CI noise).
     rows = benchmark.pedantic(
         engine_rows, args=(("R6A4U", "R25A4U"),), rounds=1, iterations=1
     )

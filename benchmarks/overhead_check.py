@@ -11,8 +11,7 @@ check makes that falsifiable on the Figure 7a anonymization workload:
    telemetry OFF (event log attached to the state, exporters
    imported).  The ratio must stay under the tolerance (default 2%);
 3. **enabled overhead** — reported for information, not gated (the
-   instrumented path is allowed to cost; the regression gate tracks
-   it over time via the ``smoke_telemetry`` history tag).
+   instrumented path is allowed to cost).
 
 Best-of-N wall times are compared because the minimum is the stable
 estimator under scheduler noise.

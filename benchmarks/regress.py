@@ -1,152 +1,132 @@
-"""Continuous benchmark-regression gate over ``BENCH_history.json``.
+"""Record and gate the ``perfbench`` trajectory in ``BENCH_history.json``.
 
-The ROADMAP's "fast as the hardware allows" goal needs a measured
-trajectory: this tool appends per-run workload timings to the history
-file and compares fresh runs against the accumulated baseline, exiting
-non-zero when a workload slowed past the threshold.
+``perfbench/`` is the repository's one benchmark; this tool only keeps
+its results over time.  ``record`` runs ``BENCHMARK.json``'s command
+once per declared workload, as ``--workload W --seconds <run_seconds>``
+(every entry is taken at the same run length: ``peak_rss_mb`` grows
+with the number of passes that fit in a run), parses the JSON result on
+the last line of its output and appends one history entry per
+workload::
 
-Workloads (deterministic figure generators, seconds per run):
+    {"recorded_at", "tag": <workload>, "source": "perfbench",
+     "commit": <short hash, when git is available>,
+     "correct", "attempted", "failed",
+     "metrics": {<each end-to-end metric>: value}}
 
-* ``figure7e`` — scalability by dataset size (3 risk measures); also
-  records ``max_rss_bytes`` (peak resident-set size over the run,
-  sampled by :class:`repro.telemetry.inspect.PeakRSSSampler`), which
-  is gated exactly like latency;
-* ``figure7f`` — scalability by number of quasi-identifiers (same
-  ``seconds`` + ``max_rss_bytes`` pair);
-* ``smoke_telemetry`` — the Figure 7a anonymization workload run with
-  telemetry enabled (the instrumented-path cost);
-* ``engine_fig7e`` — k-anonymity scored *through the chase engine* at
-  the largest Figure 7e size, at engine defaults (best-of-3 to shrug
-  off machine-load spikes).  The metric keeps its historical name
-  ``columnar_seconds`` so the committed history still gates it; the
-  retired ``planned_seconds`` / ``legacy_seconds`` lanes stay in the
-  history file as history, and ``check`` only compares metrics the
-  workloads still produce;
-* ``engine_fig7f`` — the same engine lane at the widest Figure 7f QI
-  set.
+A run that exits non-zero, reads ``correct: false`` or counts failed
+operations is not appended.
+
+``check`` runs the same workloads and compares each end-to-end metric
+with the median of the newest 5 same-tag entries, under that metric's
+``bound`` and ``better`` from ``BENCHMARK.json``: a lower-is-better
+metric regresses when current > baseline * (1 + bound), a
+higher-is-better one when current < baseline * (1 - bound).  Entries
+with other tags (the retired ``figure7e`` ... ``engine_fig7f`` lanes)
+stay in the file as history and are never compared.
 
 Usage::
 
     python benchmarks/regress.py record                  # append a run
     python benchmarks/regress.py check                   # gate
     python benchmarks/regress.py check --warn-only       # PR lane
-    python benchmarks/regress.py check --threshold 1.5 \
-        --workloads figure7f                             # narrow gate
+    python benchmarks/regress.py check --workloads kanon_wide
     python benchmarks/regress.py check --inject-slowdown 2.0  # self-test
 
-``check`` re-runs each workload once, compares every metric against
-the baseline (median of the newest ``--window`` history entries at the
-same dataset scale; ``--baseline min|last`` available) and reports
-``current / baseline`` ratios.  ``--inject-slowdown F`` multiplies the
-fresh measurements by F before comparing — the self-test hook CI uses
-to prove the gate actually trips.  ``--update`` appends the fresh
-measurements to the history afterwards so the trajectory accumulates.
+``--inject-slowdown F`` moves every fresh metric F times in its worse
+direction before comparing: the self-test hook CI uses to prove the
+gate trips.  ``--warn-only`` reports regressions but exits 0; a run
+that is not correct fails ``check`` even then.  ``--update`` appends
+the fresh results to the history afterwards.
 
-History entries are machine-local wall-clock seconds: a committed
-baseline from one machine gates a different machine only loosely.  The
-CI PR lane therefore runs ``--warn-only``; the nightly lane blocks.
+perfbench reports times at a reference machine speed, but history
+entries still come from one machine each, so the CI PR lane runs
+``--warn-only`` and the nightly lane blocks.
 """
 
 import argparse
+import datetime
 import json
 import statistics
+import subprocess
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
-from bench_tracker import HISTORY_PATH, record_history_entry  # noqa: E402
-from paperfig import SCALE  # noqa: E402
+#: The perfbench trajectory ``record`` and ``check --update`` append to.
+HISTORY_PATH = REPO_ROOT / "BENCH_history.json"
 
-#: check fails when current / baseline exceeds this (default).
-DEFAULT_THRESHOLD = 1.75
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 
-#: Baseline = aggregate over the newest N same-scale entries per tag.
-DEFAULT_WINDOW = 5
+#: The workloads ``record`` and ``check`` run, in BENCHMARK.json order.
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
+#: end-to-end metric name -> {"better": "lower"|"higher", "bound": share}
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
-def _workload_figure7e():
-    import bench_fig7e_scalability_size as fig7e
-    from repro.telemetry.inspect import PeakRSSSampler
-
-    with PeakRSSSampler() as rss:
-        start = time.perf_counter()
-        rows = fig7e.figure7e_rows()
-        seconds = time.perf_counter() - start
-    assert rows, "figure 7e produced no rows"
-    return {"seconds": seconds, "max_rss_bytes": rss.max_rss_bytes}
+#: Baseline = median over the newest N same-tag entries.
+WINDOW = 5
 
 
-def _workload_figure7f():
-    import bench_fig7f_scalability_attrs as fig7f
-    from repro.telemetry.inspect import PeakRSSSampler
-
-    with PeakRSSSampler() as rss:
-        start = time.perf_counter()
-        rows = fig7f.figure7f_rows()
-        seconds = time.perf_counter() - start
-    assert rows, "figure 7f produced no rows"
-    return {"seconds": seconds, "max_rss_bytes": rss.max_rss_bytes}
+def run_perfbench(workload):
+    """Run ``BENCHMARK.json``'s command on one workload at the declared
+    run length; returns the finished process with its stdout."""
+    command = [*BENCHMARK["command"], "--workload", workload,
+               "--seconds", str(BENCHMARK["run_seconds"])]
+    return subprocess.run(command, cwd=REPO_ROOT, stdout=subprocess.PIPE,
+                          text=True)
 
 
-def _workload_smoke_telemetry():
-    from repro import telemetry
-
-    import bench_fig7a_nulls_by_k as fig7a
-
-    telemetry.enable()
+def measure(workload):
+    """One perfbench run as ``{"exit", "correct", "attempted",
+    "failed", "metrics"}``.  A run whose last stdout line is not a
+    result carrying every end-to-end metric reads ``correct: false``
+    with no metrics."""
+    run = run_perfbench(workload)
+    lines = run.stdout.strip().splitlines()
     try:
-        start = time.perf_counter()
-        rows = fig7a.figure7a_rows()
-        seconds = time.perf_counter() - start
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-    assert rows, "figure 7a produced no rows"
-    return {"seconds": seconds}
+        result = json.loads(lines[-1])
+        metrics = {name: float(result["metrics"][name]["value"])
+                   for name in END_TO_END}
+        correct = result["correct"] is True
+        attempted, failed = int(result["attempted"]), int(result["failed"])
+    except (IndexError, KeyError, TypeError, ValueError):
+        return {"exit": run.returncode, "correct": False, "attempted": 0,
+                "failed": 0, "metrics": {}}
+    return {"exit": run.returncode, "correct": correct,
+            "attempted": attempted, "failed": failed, "metrics": metrics}
 
 
-def _best_of(measure, repeats=3):
-    """Minimum of ``repeats`` runs — the least noise-sensitive
-    estimator of a workload's true cost (machine-load spikes only
-    ever push a measurement up, never down)."""
-    return min(measure() for _ in range(repeats))
+def problems(run):
+    """Why a run cannot be trusted; empty for a clean run."""
+    found = []
+    if run["exit"] != 0:
+        found.append(f"exit code {run['exit']}")
+    if run["correct"] is not True:
+        found.append("correct: false")
+    if run["failed"]:
+        found.append(f"failed: {run['failed']} of {run['attempted']}")
+    return found
 
 
-def _workload_engine_fig7e():
-    import bench_fig7e_scalability_size as fig7e
-    from paperfig import engine_kanon_seconds
-
-    largest = fig7e.SIZES[-1]
+def slowed(metrics, factor):
+    """``metrics`` moved ``factor`` times in each one's worse
+    direction (the self-test hook)."""
     return {
-        "columnar_seconds": _best_of(
-            lambda: engine_kanon_seconds(largest)
-        ),
+        name: value * factor if END_TO_END[name]["better"] == "lower"
+        else value / factor
+        for name, value in metrics.items()
     }
 
 
-def _workload_engine_fig7f():
-    import bench_fig7f_scalability_attrs as fig7f
-    from paperfig import engine_kanon_seconds
-
-    widest = fig7f.SIZES[-1]
-    return {
-        "columnar_seconds": _best_of(
-            lambda: engine_kanon_seconds(widest)
-        ),
-    }
-
-
-#: name -> zero-arg callable returning {metric: number}.  Tests may
-#: monkeypatch this registry with stub workloads.
-WORKLOADS = {
-    "figure7e": _workload_figure7e,
-    "figure7f": _workload_figure7f,
-    "smoke_telemetry": _workload_smoke_telemetry,
-    "engine_fig7e": _workload_engine_fig7e,
-    "engine_fig7f": _workload_engine_fig7f,
-}
+def _commit():
+    try:
+        done = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                              cwd=REPO_ROOT, capture_output=True,
+                              text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
 
 
 def load_history(path):
@@ -157,36 +137,48 @@ def load_history(path):
     return data if isinstance(data, list) else [data]
 
 
-def baseline_for(history, tag, metric, scale=SCALE, mode="median",
-                 window=DEFAULT_WINDOW):
-    """The baseline value for one (tag, metric), or None if the
-    history has no same-scale entries carrying it."""
+def record_history_entry(tag, run, path):
+    """Append one clean perfbench run to the history file at ``path``."""
+    entry = {
+        "recorded_at": datetime.datetime.now(
+            datetime.timezone.utc
+        ).isoformat(timespec="seconds"),
+        "tag": tag,
+        "source": "perfbench",
+    }
+    commit = _commit()
+    if commit:
+        entry["commit"] = commit
+    entry.update({key: run[key]
+                  for key in ("correct", "attempted", "failed", "metrics")})
+    history = load_history(path)
+    history.append(entry)
+    Path(path).write_text(json.dumps(history, indent=2) + "\n")
+
+
+def baseline_for(history, tag, metric):
+    """Median of ``metric`` over the newest ``WINDOW`` entries tagged
+    ``tag`` that carry it, or None if there are none."""
     values = [
         entry["metrics"][metric]
         for entry in history
-        if entry.get("tag") == tag
-        and entry.get("scale") == scale
-        and metric in entry.get("metrics", {})
+        if entry.get("tag") == tag and metric in entry.get("metrics", {})
     ]
-    values = values[-window:]
     if not values:
         return None
-    if mode == "min":
-        return min(values)
-    if mode == "last":
-        return values[-1]
-    return statistics.median(values)
+    return statistics.median(values[-WINDOW:])
 
 
 class Comparison:
     """One (workload, metric) current-vs-baseline verdict."""
 
-    def __init__(self, tag, metric, current, baseline, threshold):
+    def __init__(self, tag, metric, current, baseline):
         self.tag = tag
         self.metric = metric
         self.current = current
         self.baseline = baseline
-        self.threshold = threshold
+        self.better = END_TO_END[metric]["better"]
+        self.bound = END_TO_END[metric]["bound"]
 
     @property
     def ratio(self):
@@ -195,8 +187,18 @@ class Comparison:
         return self.current / self.baseline
 
     @property
+    def limit(self):
+        """The ratio past which the metric regressed."""
+        return 1 + self.bound if self.better == "lower" else 1 - self.bound
+
+    @property
     def regressed(self):
-        return self.ratio is not None and self.ratio > self.threshold
+        if self.ratio is None:
+            return False
+        bar = self.baseline * self.limit
+        if self.better == "lower":
+            return self.current > bar
+        return self.current < bar
 
     def to_json(self):
         return {
@@ -205,7 +207,8 @@ class Comparison:
             "current": self.current,
             "baseline": self.baseline,
             "ratio": self.ratio,
-            "threshold": self.threshold,
+            "better": self.better,
+            "bound": self.bound,
             "regressed": self.regressed,
         }
 
@@ -216,85 +219,83 @@ class Comparison:
         marker = "REGRESSION" if self.regressed else "ok"
         return (f"  {self.tag}/{self.metric}: {self.current:.4g} vs "
                 f"baseline {self.baseline:.4g} "
-                f"(x{self.ratio:.2f}, limit x{self.threshold:g}) "
-                f"[{marker}]")
+                f"(x{self.ratio:.2f}, limit x{self.limit:g}, "
+                f"{self.better} is better) [{marker}]")
 
 
-def run_workloads(names, inject_slowdown=1.0):
-    """Run each named workload once; returns {tag: {metric: value}}
-    with the (test-hook) slowdown factor applied."""
-    results = {}
-    for name in names:
-        try:
-            workload = WORKLOADS[name]
-        except KeyError:
-            raise SystemExit(
-                f"unknown workload {name!r}; available: "
-                f"{', '.join(sorted(WORKLOADS))}"
-            )
-        metrics = workload()
-        results[name] = {
-            metric: value * inject_slowdown
-            for metric, value in metrics.items()
-        }
-    return results
+def run_workloads(names):
+    """Run each named workload once; returns {tag: run}."""
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise SystemExit(
+            f"unknown workload {unknown[0]!r}; available: "
+            f"{', '.join(WORKLOADS)}"
+        )
+    return {name: measure(name) for name in names}
 
 
 def check(args):
     history = load_history(args.history)
-    names = args.workloads or sorted(WORKLOADS)
-    results = run_workloads(names, inject_slowdown=args.inject_slowdown)
+    runs = run_workloads(args.workloads or WORKLOADS)
+    print(f"benchmark regression check (median of the newest {WINDOW} "
+          f"entries, bounds from BENCHMARK.json):")
     comparisons = []
-    for tag, metrics in results.items():
-        for metric, current in metrics.items():
-            comparisons.append(Comparison(
-                tag, metric, current,
-                baseline_for(history, tag, metric, scale=SCALE,
-                             mode=args.baseline, window=args.window),
-                args.threshold,
-            ))
-    print(f"benchmark regression check (scale 1/{SCALE}, baseline="
-          f"{args.baseline} over last {args.window}):")
-    for comparison in comparisons:
-        print(comparison.render())
+    broken = {tag: found for tag, run in runs.items()
+              if (found := problems(run))}
+    for tag, run in runs.items():
+        for problem in broken.get(tag, ()):
+            print(f"  {tag}: {problem} [FAILED]")
+        for metric, current in slowed(run["metrics"],
+                                      args.inject_slowdown).items():
+            comparison = Comparison(tag, metric, current,
+                                    baseline_for(history, tag, metric))
+            comparisons.append(comparison)
+            print(comparison.render())
     if args.report:
         Path(args.report).write_text(json.dumps(
             [c.to_json() for c in comparisons], indent=2
         ) + "\n")
         print(f"wrote {args.report}")
     if args.update:
-        for tag, metrics in results.items():
-            record_history_entry(tag, metrics, path=args.history,
-                                 extra={"source": "regress-check"})
-        print(f"appended {len(results)} entry(ies) to {args.history}")
+        clean = [tag for tag in runs if tag not in broken]
+        for tag in clean:
+            record_history_entry(tag, runs[tag], args.history)
+        print(f"appended {len(clean)} entry(ies) to {args.history}")
+    if broken:
+        print(f"{len(broken)} workload(s) did not run clean: "
+              f"{', '.join(broken)}", file=sys.stderr)
+        return 1
     regressions = [c for c in comparisons if c.regressed]
     if regressions:
-        print(f"{len(regressions)} regression(s) detected "
-              f"(threshold x{args.threshold:g})", file=sys.stderr)
+        print(f"{len(regressions)} regression(s) detected",
+              file=sys.stderr)
         return 0 if args.warn_only else 1
-    missing = [c for c in comparisons if c.baseline is None]
-    if missing and not args.update:
+    if any(c.baseline is None for c in comparisons) and not args.update:
         print("note: some metrics had no baseline; run with --update "
               "or `record` to seed them", file=sys.stderr)
     return 0
 
 
 def record(args):
-    names = args.workloads or sorted(WORKLOADS)
-    results = run_workloads(names)
-    for tag, metrics in results.items():
-        path = record_history_entry(tag, metrics, path=args.history,
-                                    extra={"source": "regress-record"})
+    code = 0
+    for tag, run in run_workloads(args.workloads or WORKLOADS).items():
+        found = problems(run)
+        if found:
+            print(f"not recorded {tag}: {', '.join(found)}",
+                  file=sys.stderr)
+            code = 1
+            continue
+        record_history_entry(tag, run, args.history)
         rendered = ", ".join(
-            f"{metric}={value:.4g}" for metric, value in metrics.items()
+            f"{metric}={value:.4g}" for metric, value in run["metrics"].items()
         )
-        print(f"recorded {tag}: {rendered} -> {path}")
-    return 0
+        print(f"recorded {tag}: {rendered} -> {args.history}")
+    return code
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="benchmark-regression gate over BENCH_history.json"
+        description="record and gate perfbench runs in BENCH_history.json"
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -305,40 +306,26 @@ def main(argv=None):
         )
         subparser.add_argument(
             "--workloads", nargs="*", default=None, metavar="NAME",
-            help=f"subset to run (default: all of "
-            f"{', '.join(sorted(WORKLOADS))})",
+            help=f"subset to run (default: all of {', '.join(WORKLOADS)})",
         )
 
     record_parser = commands.add_parser(
-        "record", help="run workloads and append their timings"
+        "record", help="run the workloads and append their results"
     )
     common(record_parser)
 
     check_parser = commands.add_parser(
-        "check", help="run workloads and gate against the baseline"
+        "check", help="run the workloads and gate against the baseline"
     )
     common(check_parser)
     check_parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help=f"fail when current/baseline exceeds this "
-        f"(default {DEFAULT_THRESHOLD})",
-    )
-    check_parser.add_argument(
-        "--baseline", choices=("median", "min", "last"),
-        default="median", help="baseline aggregate (default median)",
-    )
-    check_parser.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW,
-        help=f"history entries per tag considered "
-        f"(default {DEFAULT_WINDOW})",
-    )
-    check_parser.add_argument(
         "--warn-only", action="store_true",
-        help="report regressions but exit 0 (the PR lane)",
+        help="report regressions but exit 0 (the PR lane); a run that "
+        "is not correct still fails",
     )
     check_parser.add_argument(
         "--update", action="store_true",
-        help="append the fresh measurements to the history afterwards",
+        help="append the fresh results to the history afterwards",
     )
     check_parser.add_argument(
         "--report", default=None, metavar="FILE.json",
@@ -346,8 +333,8 @@ def main(argv=None):
     )
     check_parser.add_argument(
         "--inject-slowdown", type=float, default=1.0, metavar="FACTOR",
-        help="multiply fresh measurements by FACTOR before comparing "
-        "(self-test hook: 2.0 must trip the gate)",
+        help="move fresh metrics FACTOR times in their worse direction "
+        "before comparing (self-test hook: 2.0 must trip the gate)",
     )
 
     args = parser.parse_args(argv)

@@ -7,23 +7,18 @@ prints the tables and writes machine-readable copies to
     python benchmarks/run_all.py
     REPRO_BENCH_SCALE=1 python benchmarks/run_all.py   # paper sizes
 
-With ``--telemetry [TAG]`` (or ``REPRO_BENCH_TELEMETRY=1``) the whole
-suite runs with the telemetry subsystem enabled and the final metrics
-registry snapshot is appended to ``BENCH_<TAG>.json`` at the repo root
-(default tag: ``telemetry_baseline``) — the perf trajectory later
-optimization PRs measure themselves against.
+The per-figure seconds it prints are for reading, not gating: the
+performance trajectory is ``perfbench``'s, recorded and gated by
+``benchmarks/regress.py``.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-from repro import telemetry  # noqa: E402
 
 from paperfig import SCALE, emit, render_table  # noqa: E402
 
@@ -81,20 +76,7 @@ FIGURES = [
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--telemetry", nargs="?", const="telemetry_baseline",
-        default=None, metavar="TAG",
-        help="run with telemetry enabled and append the registry "
-        "snapshot to BENCH_<TAG>.json (default tag: telemetry_baseline)",
-    )
-    args = parser.parse_args(argv)
-    tag = args.telemetry
-    if tag is None and os.environ.get("REPRO_BENCH_TELEMETRY"):
-        tag = "telemetry_baseline"
-    if tag is not None:
-        telemetry.enable()
-
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     results = {"scale": SCALE, "figures": {}}
     for key, title, columns, generator in FIGURES:
         start = time.perf_counter()
@@ -112,30 +94,6 @@ def main(argv=None) -> int:
     output_path = output_dir / "figures.json"
     output_path.write_text(json.dumps(results, indent=2))
     print(f"\nwrote {output_path}")
-
-    if tag is not None:
-        from bench_tracker import (
-            record_history_entry,
-            record_registry_snapshot,
-        )
-
-        timings = {
-            key: figure["seconds"]
-            for key, figure in results["figures"].items()
-        }
-        bench_path = record_registry_snapshot(
-            tag, extra={"figure_seconds": timings}
-        )
-        print(f"appended telemetry snapshot to {bench_path}")
-        # Seed/extend the regression trajectory: one history entry per
-        # figure, so `benchmarks/regress.py check` has baselines.
-        for key, seconds in timings.items():
-            history_path = record_history_entry(
-                key, {"seconds": seconds}, extra={"source": "run_all"}
-            )
-        print(f"appended {len(timings)} figure timing(s) to "
-              f"{history_path}")
-        telemetry.disable()
     return 0
 
 

@@ -16,8 +16,8 @@ engine's operator-level truth, three instruments in one place:
   per-predicate cardinality / estimated-bytes report produced by
   :meth:`~repro.vadalog.database.FactStore.memory_stats`, and
   :class:`PeakRSSSampler` tracks the process peak resident-set size
-  (``max_rss_bytes``) over a code region — the gauge
-  ``benchmarks/regress.py`` records next to latency.
+  (``max_rss_bytes``) over a code region — the gauge perfbench
+  reports as ``peak_rss_mb``, which ``benchmarks/regress.py`` gates.
 * **Live progress** — :class:`ChaseProgress` tracks the chase's
   current stratum/round, delta-frontier size, fire rate and stall
   state; the engine publishes it as ``chase.heartbeat.*`` gauges (the
@@ -281,8 +281,8 @@ class PeakRSSSampler:
             run_workload()
         print(rss.max_rss_bytes)
 
-    This is the ``max_rss_bytes`` metric ``benchmarks/regress.py``
-    records into ``BENCH_history.json`` next to wall-clock seconds.
+    perfbench reports this reading as ``peak_rss_mb``, which
+    ``benchmarks/regress.py`` records into ``BENCH_history.json``.
     """
 
     def __init__(self, interval: float = 0.01):
