@@ -70,18 +70,33 @@ def warm_up():
         full_cycle(SIZES[0], measure_name)
 
 
-def figure7e_rows():
+def figure7e_timings():
+    """Per size: the dataset, its rows, then each measure's full-cycle
+    seconds and median risk-only seconds, unrounded.  The measures'
+    risk-only calls are interleaved, one call of each per repeat, so a
+    slow phase of the machine lands on every measure alike."""
     warm_up()
     rows = []
     for code in SIZES:
+        totals = [full_cycle(code, name) for name in MEASURES]
+        risk = {name: [] for name in MEASURES}
+        for _ in range(RISK_REPEATS):
+            for name in MEASURES:
+                risk[name].append(risk_only(code, name))
         row = [code, len(dataset(code))]
-        for measure_name in MEASURES:
-            row.append(round(full_cycle(code, measure_name), 4))
-            row.append(round(statistics.median(
-                risk_only(code, measure_name) for _ in range(RISK_REPEATS)
-            ), 4))
+        for total, name in zip(totals, MEASURES):
+            row += [total, statistics.median(risk[name])]
         rows.append(row)
     return rows
+
+
+def rounded(rows):
+    """Timing rows as printed: seconds to 4 decimals."""
+    return [row[:2] + [round(value, 4) for value in row[2:]] for row in rows]
+
+
+def figure7e_rows():
+    return rounded(figure7e_timings())
 
 
 def engine_rows(sizes=SIZES):
@@ -124,14 +139,14 @@ def test_fig7e_engine_path(benchmark):
 
 
 def test_fig7e_report(benchmark):
-    rows = benchmark.pedantic(figure7e_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(figure7e_timings, rounds=1, iterations=1)
     columns = ["dataset", "rows"]
     for measure_name in MEASURES:
         columns += [f"{measure_name}/total", f"{measure_name}/risk"]
     emit(render_table(
         "Figure 7e: elapsed seconds by dataset size and risk technique",
         columns,
-        rows,
+        rounded(rows),
     ))
     # Shape: time grows with size for every technique (compare the
     # smallest and largest datasets).

@@ -32,6 +32,11 @@ with a raising branch — so the compiled column evaluator meets masked
 and raising rows, checked against the oracle's interpreter (a run both
 evaluators fail with the same error type, ``error-match``, agrees).
 Same gates.
+
+A fourth fixed batch runs 200 existential-heavy pairs (the second
+batch's generator settings, another seed) under
+``termination="isomorphic"``, whose per-row image search runs in the
+chase's row loop.  Same gates.
 """
 
 import sys
@@ -50,6 +55,8 @@ EXISTENTIAL_CONFIG = GeneratorConfig(p_existential=0.8, p_multi_head=0.5)
 EXPRESSION_SEED = 20261101
 EXPRESSION_EXAMPLES = 200
 EXPRESSION_CONFIG = GeneratorConfig(p_assignment=0.8, p_condition=0.5)
+ISOMORPHIC_SEED = 20261201
+ISOMORPHIC_EXAMPLES = 200
 
 USAGE = (
     "usage: PYTHONPATH=src python benchmarks/smoke_conformance.py "
@@ -125,6 +132,17 @@ def main() -> int:
         f"{compared(expression)} pairs compared, "
         f"{expression.counts.get('error-match', 0)} error-match, "
         "0 disagreements"
+    )
+    isomorphic = run_batch(
+        "isomorphic termination", ISOMORPHIC_EXAMPLES,
+        base_seed=ISOMORPHIC_SEED, config=EXISTENTIAL_CONFIG,
+        termination="isomorphic",
+    )
+    if isomorphic is None:
+        return 1
+    print(
+        f"conformance smoke OK (isomorphic termination): "
+        f"{compared(isomorphic)} pairs compared, 0 disagreements"
     )
     return 0
 

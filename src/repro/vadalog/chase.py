@@ -28,8 +28,14 @@ Semantics implemented here:
 * **External predicates** (``#``-prefixed) resolved through the
   registry; externals may inject facts (``#anonymize``), which re-enter
   the semi-naive frontier.
-* **Routing strategies** order candidate bindings before firing
-  (Section 4.4 runtime heuristics).
+* **Firing**: a rule application fires in bulk from its batch columns
+  when no row's firing can depend on an earlier row's (ground heads,
+  monotonic aggregates); every other rule fires through one row loop
+  that runs, per distinct binding, the absence recheck, the externals
+  and the head (:meth:`ChaseEngine._fire_rows`).
+* **Routing strategies** order the row loop's bindings before any of
+  them fires, so side-effecting externals (``#anonymize``) follow the
+  paper's heuristics (Section 4.4, "less significant first").
 * **EGDs** are enforced at the end of every round of the stratum
   containing them; constant clashes are collected as violations.
 """
@@ -54,7 +60,7 @@ from .egd import EGDViolation, enforce_egds
 from .explain import ProvenanceLog
 from .externals import ExternalContext, ExternalRegistry
 from .negation import stratify
-from .plans import HeadPlan, RulePlans, compile_rule_plans
+from .plans import RulePlans, compile_rule_plans
 from .routing import RoutingTable, fifo_strategy
 from .rules import EGD, Rule
 from .terms import Constant, LabelledNull, NullFactory, Term, Variable, unwrap
@@ -177,14 +183,9 @@ class ChaseResult:
         return self.null_factory.issued
 
 
-class _Binding:
-    """A successful body match: substitution plus matched premises."""
-
-    __slots__ = ("substitution", "premises")
-
-    def __init__(self, substitution: Substitution, premises: List[Fact]):
-        self.substitution = substitution
-        self.premises = premises
+def _row(cols: Dict[Variable, list], i: int) -> Substitution:
+    """Row ``i`` of a batch's columns as a substitution."""
+    return {variable: column[i] for variable, column in cols.items()}
 
 
 def _tuple_column(columns: List[List[Term]], n: int) -> List[Tuple]:
@@ -253,9 +254,9 @@ class ChaseEngine:
         # id(rule) -> RulePlans; survives across run() calls so a
         # reused engine pays compilation once.
         self._plan_cache: Dict[int, RulePlans] = {}
-        # id(rule) -> bulk-fire mode ('facts'/'aggregates'/None),
+        # id(rule) -> FIFO fire mode ('facts'/'aggregates'/'rows'),
         # static per rule.
-        self._batch_fire_modes: Dict[int, Optional[str]] = {}
+        self._batch_fire_modes: Dict[int, str] = {}
         # id(JoinPlan) -> PlanAnalysis, reset per run (ANALYZE only).
         self._plan_analysis: Dict[int, PlanAnalysis] = {}
         # Per-run metrics registry; None while telemetry is disabled so
@@ -657,32 +658,6 @@ class ChaseEngine:
             self._report_masks(rule, masks)
         return batches
 
-    def _enumerate_bindings(
-        self, plans: RulePlans, batches
-    ) -> List[_Binding]:
-        """The batches' rows as a deduplicated binding list for
-        per-binding firing: two rows that bind the rule's variables to
-        the same values count once.
-
-        External atoms are NOT evaluated here — they run at firing
-        time, after routing, so binding-order heuristics govern their
-        side effects."""
-        results: List[_Binding] = []
-        seen: Set[Tuple] = set()
-        for batch in batches:
-            cols = batch.cols
-            key_cols = [cols[variable] for variable in plans.binds]
-            for i in range(batch.n):
-                key = tuple(col[i] for col in key_cols)
-                if key in seen:
-                    continue
-                seen.add(key)
-                results.append(_Binding(
-                    {var: col[i] for var, col in cols.items()},
-                    batch.premises_row(i),
-                ))
-        return results
-
     def _report_masks(
         self, rule: Rule, masks: List[MaskRecord]
     ) -> None:
@@ -706,54 +681,54 @@ class ChaseEngine:
                     round=self._round,
                 )
 
-    def _batch_fire_mode(self, rule: Rule) -> Optional[str]:
-        """How a FIFO-routed rule fires from its batch columns:
-        ``'facts'`` (bulk head firing), ``'aggregates'`` (deferred
-        per-group emission) or None (per-binding firing).  It depends
+    def _batch_fire_mode(self, rule: Rule) -> str:
+        """How a FIFO-routed rule fires: ``'facts'`` (bulk head firing
+        from the batch columns), ``'aggregates'`` (deferred per-group
+        emission) or ``'rows'`` (:meth:`_fire_rows`, the row loop every
+        other rule and every non-FIFO rule fires through).  It depends
         on the rule's shape alone, so it is computed once per rule.
 
         Everything the bulk paths skip must be unobservable: no
-        externals (they expand at fire time under routing order).
-        Operational negation does not matter to the facts path: its
-        rows are probed again just before they fire, in batch order,
-        when the application-start read is not exact.  The
-        facts path takes existential rules under the restricted chase
-        (one :class:`HeadImageCheck` per application decides the rows
-        in batch order, which is the per-binding firing order) but not
-        under ``termination="isomorphic"``, whose check stays per row.
-        The aggregate path needs no post-aggregate conditions
-        (per-binding firing checks them against intermediate values, an
-        order-dependent effect) and no aggregate input reading another
-        aggregate's target (per-binding firing evaluates later
-        aggregates with earlier targets already substituted).
-        The aggregate path also needs an exact absence read: it
+        externals (they expand at fire time, in routing order).  The
+        facts path needs rows that no earlier row can change: no
+        existentials (a firing blocks later rows' keys and draws
+        nulls), no absence recheck (a firing can fill an absence key)
+        and every head atom ground by construction (else the first row
+        to reach it raises).  The aggregate path needs no
+        post-aggregate conditions (the row loop checks them against
+        intermediate values, an order-dependent effect) and no
+        aggregate input reading another aggregate's target (the row
+        loop evaluates later aggregates with earlier targets already
+        substituted).  It also needs an exact absence read: it
         contributes every row before emitting.  Provenance does not
         matter: the aggregate path records one derivation per group
         fact it adds."""
         mode = self._batch_fire_modes.get(id(rule))
-        if mode is not None or id(rule) in self._batch_fire_modes:
-            return mode
-        mode = self._compute_batch_fire_mode(rule)
-        self._batch_fire_modes[id(rule)] = mode
+        if mode is None:
+            mode = self._compute_batch_fire_mode(rule)
+            self._batch_fire_modes[id(rule)] = mode
         return mode
 
-    def _compute_batch_fire_mode(self, rule: Rule) -> Optional[str]:
+    def _compute_batch_fire_mode(self, rule: Rule) -> str:
+        plans = self._plan_cache[id(rule)]
         if any(lit.atom.is_external for lit in rule.body):
-            return None
+            return "rows"
+        if plans.absence_recheck:
+            return "rows"
         if rule.has_aggregates:
-            if self._plan_cache[id(rule)].absence_recheck:
-                return None
             targets = {agg.target for agg in rule.aggregates}
             for condition in rule.conditions:
                 if targets & set(condition.variables()):
-                    return None
+                    return "rows"
             for agg in rule.aggregates:
                 inputs = set(agg.variables()) - {agg.target}
                 if inputs & targets:
-                    return None
+                    return "rows"
             return "aggregates"
-        if rule.existential_variables() and self.termination != "restricted":
-            return None
+        if plans.head_plan is not None or not all(
+            head.ground for head in plans.heads
+        ):
+            return "rows"
         return "facts"
 
     def _fire_facts_batched(
@@ -763,7 +738,6 @@ class ChaseEngine:
         batches,
         store: FactStore,
         provenance: ProvenanceLog,
-        null_factory: NullFactory,
         firings: Optional[List[List[Fact]]],
     ) -> bool:
         """Bulk head firing from the batch columns.  Each head atom is
@@ -771,17 +745,9 @@ class ChaseEngine:
         and bulk-inserted; the store drops duplicates (within or across
         delta plans) and returns only the new facts, so no dedup pass
         is needed and provenance records first-added facts only,
-        exactly as the deduped per-binding path would.  A rule whose
-        rows must be decided one at a time fires through
-        :meth:`_fire_rows` instead.  Each row that adds facts is one
-        firing, appended to ``firings`` when given."""
+        exactly as the deduplicated row loop would.  Each row that adds
+        facts is one firing, appended to ``firings`` when given."""
         heads = plans.heads
-        if (plans.head_plan is not None or plans.absence_recheck
-                or not all(head.ground for head in heads)):
-            return self._fire_rows(
-                rule, plans, batches, store, provenance, null_factory,
-                firings,
-            )
         # Head atoms grouped by predicate: a relation must receive a
         # firing's facts in row-major order, as row-by-row firing adds
         # them, so atoms sharing a predicate are interleaved.
@@ -842,96 +808,179 @@ class ChaseEngine:
                     firings.append([new[k] for k in group])
         return changed
 
+    def _row_order(
+        self, rule: Rule, plans: RulePlans, batches
+    ) -> List[Tuple[int, int]]:
+        """The ``(batch, row)`` pairs :meth:`_fire_rows` visits: the
+        first row of each distinct binding of ``plans.binds``, in batch
+        order.  A non-FIFO routing strategy orders those rows, seen as
+        substitution dicts, before any of them fires."""
+        seen: Set[Tuple] = set()
+        order: List[Tuple[int, int]] = []
+        for b, batch in enumerate(batches):
+            keys = _tuple_column(
+                [batch.cols[variable] for variable in plans.binds], batch.n
+            )
+            for i, key in enumerate(keys):
+                if key not in seen:
+                    seen.add(key)
+                    order.append((b, i))
+        strategy = self.routing.strategy_for(rule)
+        if strategy is fifo_strategy:
+            return order
+        position: Dict[int, Tuple[int, int]] = {}
+        substitutions = []
+        for b, i in order:
+            substitution = _row(batches[b].cols, i)
+            position[id(substitution)] = (b, i)
+            substitutions.append(substitution)
+        return [position[id(s)] for s in strategy(rule, substitutions)]
+
     def _fire_rows(
         self,
         rule: Rule,
+        rule_index: int,
         plans: RulePlans,
         batches,
         store: FactStore,
         provenance: ProvenanceLog,
         null_factory: NullFactory,
+        context: ExternalContext,
+        aggregate_states: Dict,
+        emitted_aggregates: Dict,
         firings: Optional[List[List[Fact]]],
     ) -> bool:
-        """Bulk firing one row at a time, in batch order, for the rows
-        whose firing depends on earlier rows: a row whose absence key
-        is no longer absent (:attr:`RulePlans.absence_recheck`) does
-        not fire, and an existential rule's row fires unless the
-        application's :class:`HeadImageCheck` blocks its frontier key;
-        a fired row draws its fresh nulls then, so null labels,
-        premises (the first occurrence's) and ``invent_null`` events
-        match per-binding firing.  Each row's head atoms are projected
-        from the columns; a head atom that is not ground by
-        construction raises on the first row that reaches it."""
-        label = rule.label
-        track = self.provenance_enabled
+        """Fire one rule application row by row, in :meth:`_row_order`,
+        for rules whose rows depend on earlier rows.  Per row:
+
+        * the absence recheck: a row whose absence key is no longer
+          absent (:attr:`RulePlans.absence_recheck`) does not fire; it
+          runs before the externals, so a rejected row causes no side
+          effects;
+        * the rule's externals (:meth:`_expand_externals`); each
+          binding they expand to fires on its own;
+        * the head.  An aggregate rule contributes each binding through
+          :meth:`_fire_with_aggregates`.  An existential rule's binding
+          fires unless its frontier key is blocked, by the
+          application's one :class:`HeadImageCheck` under the
+          restricted chase or by :meth:`_isomorphic_image` under
+          ``termination="isomorphic"``, and draws its fresh nulls when
+          it fires.  A rule without externals whose head atoms are
+          ground by construction projects them from the columns; any
+          other binding is substituted into the head, and a head atom
+          it leaves non-ground raises.
+
+        Each binding that adds facts is one firing, appended to
+        ``firings`` when given; its derivations carry the row's
+        premises (the first occurrence's)."""
+        order = self._row_order(rule, plans, batches)
+        externals = [lit for lit in rule.body if lit.atom.is_external]
+        aggregates = rule.has_aggregates
+        project = not (externals or aggregates) and all(
+            head.ground for head in plans.heads
+        )
+        head_plan = None if aggregates else plans.head_plan
+        check = None
+        if head_plan is not None:
+            existentials = head_plan.existentials
+            if self.termination == "restricted":
+                # Keys an external binds are decided when first queried.
+                keys = None
+                if set(head_plan.frontier) <= set(plans.binds):
+                    keys = [
+                        _tuple_column(
+                            [batch.cols[v] for v in head_plan.frontier],
+                            batch.n,
+                        )
+                        for batch in batches
+                    ]
+                check = HeadImageCheck(head_plan, store, (
+                    () if keys is None else (keys[b][i] for b, i in order)
+                ))
+            if project:
+                # Fired rows fill their existentials' columns in place.
+                for batch in batches:
+                    for variable in existentials:
+                        batch.cols[variable] = [None] * batch.n
+        parts = [
+            [head.parts(batch.cols, batch.n) for head in plans.heads]
+            for batch in batches
+        ] if project else None
         recheck = plans.absence_recheck
         recheck_vars = {
             variable for step in recheck for _, variable in step.key_vars
         }
+        label = rule.label
+        track = self.provenance_enabled
         changed = False
-        check = None
-        if plans.head_plan is not None:
-            existentials = plans.head_plan.existentials
-            frontier = plans.head_plan.frontier
-            batch_keys = []
-            for batch in batches:
-                missing = [None] * batch.n
-                batch_keys.append(_tuple_column(
-                    [batch.cols.get(v, missing) for v in frontier],
-                    batch.n,
-                ))
-                # Fired rows fill their existentials' columns in place.
-                for variable in existentials:
-                    batch.cols[variable] = [None] * batch.n
-            check = HeadImageCheck(
-                plans.head_plan, store,
-                (key for keys in batch_keys for key in keys),
-            )
-        for b, batch in enumerate(batches):
+        for b, i in order:
+            batch = batches[b]
             cols = batch.cols
-            parts = [
-                head.parts(cols, batch.n) if head.ground else None
-                for head in plans.heads
-            ]
-            for i in range(batch.n):
-                if recheck and not absence_holds(
-                    recheck, store, {v: cols[v][i] for v in recheck_vars}
-                ):
-                    continue
-                if check is not None:
-                    key = batch_keys[b][i]
-                    if check.blocks(key):
-                        continue
-                    fresh = self._invent_nulls(
-                        rule, existentials, null_factory
+            if recheck and not absence_holds(
+                recheck, store, {v: cols[v][i] for v in recheck_vars}
+            ):
+                continue
+            bindings = (None,) if project else self._expand_externals(
+                plans.deferred, externals, _row(cols, i), context
+            )
+            for binding in bindings:
+                if aggregates:
+                    added = self._fire_with_aggregates(
+                        rule, rule_index, binding, batch.premises_row(i),
+                        store, provenance, aggregate_states,
+                        emitted_aggregates,
                     )
-                    for variable, null in fresh.items():
-                        cols[variable][i] = null
-                added = None
-                premises = None
-                for head, part in zip(plans.heads, parts):
-                    if part is None:
-                        fact = head.atom.substitute(
-                            {v: col[i] for v, col in cols.items()}
+                else:
+                    fresh = {}
+                    if head_plan is not None:
+                        if check is not None:
+                            key = (
+                                keys[b][i] if keys is not None
+                                else head_plan.key(binding)
+                            )
+                            if check.blocks(key):
+                                continue
+                        elif self._isomorphic_image(
+                            rule,
+                            _row(cols, i) if binding is None else binding,
+                            existentials, store,
+                        ):
+                            continue
+                        fresh = self._invent_nulls(
+                            rule, existentials, null_factory
                         )
-                        raise EvaluationError(
-                            f"head atom {fact} not ground after "
-                            f"substitution in rule {rule.label or rule}"
-                        )
-                    terms = tuple([column[i] for column in part])
-                    for fact in store.insert(head.predicate, (terms,))[1]:
-                        changed = True
-                        if track:
-                            if premises is None:
-                                premises = batch.premises_row(i)
+                    if binding is None:
+                        for variable, null in fresh.items():
+                            cols[variable][i] = null
+                        head_terms = [
+                            (head.predicate, tuple([col[i] for col in part]))
+                            for head, part in zip(plans.heads, parts[b])
+                        ]
+                    else:
+                        final = {**binding, **fresh}
+                        head_terms = []
+                        for atom in rule.head:
+                            atom = atom.substitute(final)
+                            if not atom.is_ground:
+                                raise EvaluationError(
+                                    f"head atom {atom} not ground after "
+                                    "substitution in rule "
+                                    f"{rule.label or rule}"
+                                )
+                            head_terms.append((atom.predicate, atom.terms))
+                    added = []
+                    for predicate, terms in head_terms:
+                        added.extend(store.insert(predicate, (terms,))[1])
+                    if check is not None:
+                        check.fired(key)
+                    if track and added:
+                        premises = batch.premises_row(i)
+                        for fact in added:
                             provenance.record(fact, label, premises)
-                        if firings is not None:
-                            if added is None:
-                                added = []
-                                firings.append(added)
-                            added.append(fact)
-                if check is not None:
-                    check.fired(key)
+                if added:
+                    changed = True
+                    if firings is not None:
+                        firings.append(added)
         return changed
 
     def _fire_aggregates_batched(
@@ -1065,10 +1114,11 @@ class ChaseEngine:
     ) -> bool:
         """One semi-naive application of ``rule``: match every
         applicable plan as a batch, then fire.  A FIFO-routed rule
-        whose shape allows it fires in bulk from the batch columns;
-        every other rule fires binding by binding in routing order.
-        Telemetry only observes the application (see
-        :meth:`_record_firings`); it never changes the path."""
+        whose shape allows it fires in bulk from the batch columns
+        (:meth:`_batch_fire_mode`); every other rule fires through the
+        row loop, :meth:`_fire_rows`, in routing order.  Telemetry only
+        observes the application (see :meth:`_record_firings`); it
+        never changes the path."""
         plans = self._plan_cache[id(rule)]
         metrics = self._metrics
         start = time.perf_counter_ns() if metrics is not None else 0
@@ -1089,78 +1139,28 @@ class ChaseEngine:
         mode = (
             self._batch_fire_mode(rule)
             if self.routing.strategy_for(rule) is fifo_strategy
-            else None
+            else "rows"
         )
         if mode == "facts":
-            rows = sum(batch.n for batch in batches)
             changed = self._fire_facts_batched(
-                rule, plans, batches, store, provenance, null_factory,
-                firings,
+                rule, plans, batches, store, provenance, firings,
             )
         elif mode == "aggregates":
-            rows = sum(batch.n for batch in batches)
             changed = self._fire_aggregates_batched(
                 rule, rule_index, plans, batches, store, provenance,
                 aggregate_states, emitted_aggregates, firings,
             )
         else:
-            bindings = self._enumerate_bindings(plans, batches)
-            rows = len(bindings)
-            # Routing orders the regular-body bindings BEFORE externals
-            # run, so side-effecting externals (#anonymize) observe the
-            # paper's heuristics ("less significant first", Section
-            # 4.4).
-            ordered = self.routing.order(
-                rule, [b.substitution for b in bindings]
+            changed = self._fire_rows(
+                rule, rule_index, plans, batches, store, provenance,
+                null_factory, context, aggregate_states,
+                emitted_aggregates, firings,
             )
-            premises_of: Dict[int, List[Fact]] = {
-                id(b.substitution): b.premises for b in bindings
-            }
-            external_literals = [
-                lit for lit in rule.body if lit.atom.is_external
-            ]
-            check = None
-            head_plan = plans.head_plan
-            if head_plan is not None and self.termination == "restricted":
-                # Keys an external binds are decided when first queried.
-                upfront = (
-                    ordered if set(head_plan.frontier) <= set(plans.binds)
-                    else ()
-                )
-                check = HeadImageCheck(
-                    head_plan, store, map(head_plan.key, upfront)
-                )
-            recheck = plans.absence_recheck
-            changed = False
-            for substitution in ordered:
-                # The body's absence checks hold before its externals
-                # run, so a rejected row causes no side effects.
-                if recheck and not absence_holds(
-                    recheck, store, substitution
-                ):
-                    continue
-                premises = premises_of.get(id(substitution), [])
-                for full in self._expand_externals(
-                    plans.deferred, external_literals, substitution,
-                    context,
-                ):
-                    if rule.has_aggregates:
-                        added = self._fire_with_aggregates(
-                            rule, rule_index, full, premises, store,
-                            provenance, aggregate_states,
-                            emitted_aggregates,
-                        )
-                    else:
-                        added = self._fire(
-                            rule, full, premises, store, provenance,
-                            null_factory, head_plan, check,
-                        )
-                    if added:
-                        changed = True
-                        if firings is not None:
-                            firings.append(added)
         if firings is not None:
-            self._record_firings(rule, rows, firings, fire_start)
+            self._record_firings(
+                rule, sum(batch.n for batch in batches), firings,
+                fire_start,
+            )
         return changed
 
     def _record_firings(
@@ -1171,10 +1171,10 @@ class ChaseEngine:
         fire_start: int,
     ) -> None:
         """Per-rule telemetry of one rule application, whichever path
-        fired it: the fire time, the rows it fired from (batch rows in
-        bulk, deduplicated bindings per binding), the firings that
-        added facts (a bulk row, a binding or a group emission) with
-        their facts, and one ``derive`` decision event per firing."""
+        fired it: the fire time, the batch rows it fired from, the
+        firings that added facts (a bulk row, a binding of the row
+        loop or a group emission) with their facts, and one ``derive``
+        decision event per firing."""
         name = self._rule_names[id(rule)]
         metrics = self._metrics
         if metrics is not None:
@@ -1229,69 +1229,6 @@ class ChaseEngine:
                 yield from _chain(extended, position + 1)
 
         yield from _chain(substitution, 0)
-
-    def _fire(
-        self,
-        rule: Rule,
-        substitution: Substitution,
-        premises: List[Fact],
-        store: FactStore,
-        provenance: ProvenanceLog,
-        null_factory: NullFactory,
-        head_plan: Optional[HeadPlan],
-        check: Optional[HeadImageCheck],
-    ) -> List[Fact]:
-        """Fire one binding; returns the head facts it added.
-        ``head_plan`` is None without existentials; under the
-        restricted chase the application's ``check`` decides
-        blocking."""
-        if check is not None:
-            key = head_plan.key(substitution)
-            if check.blocks(key):
-                return []
-        head_atoms = self._instantiate_head(
-            rule, head_plan, substitution, null_factory, store
-        )
-        if head_atoms is None:
-            return []
-        added = []
-        for atom in head_atoms:
-            if store.add(atom):
-                added.append(atom)
-                provenance.record(atom, rule.label, premises)
-        if check is not None:
-            check.fired(key)
-        return added
-
-    def _instantiate_head(
-        self,
-        rule: Rule,
-        head_plan: Optional[HeadPlan],
-        substitution: Substitution,
-        null_factory: NullFactory,
-        store: FactStore,
-    ) -> Optional[List[Fact]]:
-        if head_plan is not None:
-            existentials = head_plan.existentials
-            # The restricted chase decided blocking before the call
-            # (see _fire); the isomorphic check runs here, per row.
-            if self.termination == "isomorphic" and self._isomorphic_image(
-                rule, substitution, existentials, store
-            ):
-                return None
-            final = dict(substitution)
-            final.update(
-                self._invent_nulls(rule, existentials, null_factory)
-            )
-            return [atom.substitute(final) for atom in rule.head]
-        atoms = [atom.substitute(substitution) for atom in rule.head]
-        for atom in atoms:
-            if not atom.is_ground:
-                raise EvaluationError(
-                    f"head atom {atom} not ground after substitution in "
-                    f"rule {rule.label or rule}"
-                )
-        return atoms
 
     def _isomorphic_image(
         self,

@@ -390,8 +390,8 @@ class TestTelemetryObserves:
         'e(a, 1). e(a, 2). e(b, 1).\n@label("agg").\n'
         "c(X, N) :- e(X, Y), N = mcount(1, <Y>).\n"
     )
-    # A condition on the aggregate target makes the rule fire binding
-    # by binding.
+    # A condition on the aggregate target makes the rule fire through
+    # the row loop.
     AGGREGATE_PER_BINDING = (
         'e(a, 1). e(a, 2). e(b, 1).\n@label("agg").\n'
         "c(X, N) :- e(X, Y), N = mcount(1, <Y>), N > 0.\n"
@@ -411,8 +411,8 @@ class TestTelemetryObserves:
         ids=["bulk", "per-binding"],
     )
     def test_aggregate_rule_reports_its_facts(self, source, firings):
-        """Bulk firing counts one firing per group emission, per-binding
-        firing one per binding that replaced the group's fact."""
+        """Bulk firing counts one firing per group emission, the row
+        loop one per binding that replaced the group's fact."""
         telemetry.enable(events=True)
         result = Program.parse(source).run()
         counters = result.stats["telemetry"]["counters"]
@@ -432,6 +432,8 @@ class TestTelemetryObserves:
     def test_bulk_rules_never_enumerate_bindings_when_observed(
         self, monkeypatch
     ):
+        """Bulk-shaped rules fire in bulk while telemetry observes:
+        the row loop is never entered."""
         def per_binding(*args, **kwargs):
             raise AssertionError("rule fired binding by binding")
 
@@ -439,9 +441,7 @@ class TestTelemetryObserves:
             source: set(Program.parse(source).run().facts())
             for source in (self.GROUND, self.AGGREGATE)
         }
-        monkeypatch.setattr(
-            ChaseEngine, "_enumerate_bindings", per_binding
-        )
+        monkeypatch.setattr(ChaseEngine, "_fire_rows", per_binding)
         telemetry.enable(events=True)
         for source, facts in expected.items():
             assert set(Program.parse(source).run().facts()) == facts

@@ -1,8 +1,8 @@
 """Columnar fact-store tests.
 
 Covers the dictionary-encoded columnar relation (round-trips, lazy
-encoding, frontier bookkeeping), bulk vs per-binding firing from the
-batch columns, the batched error-masking contract
+encoding, frontier bookkeeping), bulk firing from the batch columns vs
+the row loop, the batched error-masking contract
 (mask or raise, checked against the naive oracle in both directions),
 and the memory/EXPLAIN ANALYZE reporting for columnar predicates.
 """
@@ -205,12 +205,12 @@ class TestFrontierInvariants:
 
 # ---------------------------------------------------------------------------
 # Differential equivalence: bulk firing from the batch columns vs
-# binding-by-binding firing.
+# the row loop.
 
 
 def in_discovery_order(rule, bindings):
     """FIFO order under another name: any strategy other than
-    ``fifo_strategy`` makes every rule fire binding by binding."""
+    ``fifo_strategy`` makes every rule fire through the row loop."""
     return list(bindings)
 
 
@@ -231,9 +231,9 @@ class TestBulkVsPerBindingFiring:
         except Exception as exc:  # noqa: BLE001 — crashes compared too
             return ("error", type(exc).__name__)
         facts = frozenset(result.facts())
-        # A replaced aggregate fact keeps its derivation, and the
-        # per-binding path replaces more of them, so count only the
-        # derivations of facts that survive.
+        # A replaced aggregate fact keeps its derivation, and the row
+        # loop replaces more of them, so count only the derivations of
+        # facts that survive.
         derived = sum(
             1 for d in result.provenance.derivations() if d.fact in facts
         )
@@ -244,12 +244,12 @@ class TestBulkVsPerBindingFiring:
         rng=st.randoms(use_true_random=False), aggregates=st.booleans()
     )
     def test_identical_facts_provenance_and_rounds(self, rng, aggregates):
-        """Without existentials the two firing modes agree on
+        """Without existentials bulk firing and the row loop agree on
         everything observable: fact sets (labels and all), derivation
         counts of those facts, and semi-naive round counts.  That holds
         with aggregates (the generator's default ``p_aggregate``) too,
         though bulk firing emits each group once per rule application
-        and per-binding firing replaces the group fact binding by
+        and the row loop replaces the group fact binding by
         binding."""
         from repro.testing.generator import (
             GeneratorConfig, generate_program,
@@ -268,11 +268,12 @@ class TestBulkVsPerBindingFiring:
 
     @given(rng=st.randoms(use_true_random=False))
     def test_existential_rules_fire_identically(self, rng):
-        """Existential rules fire in bulk too: rows fire in batch order
-        under one image check per application, so labelled-null
-        numbering, fact sets, derivation counts and rounds equal
-        per-binding firing's, as does the count of nulls drawn, with
-        heads of every shape."""
+        """Existential rules fire through the row loop under FIFO and
+        under a pass-through routing strategy alike: rows fire in
+        batch order under one image check per application, so
+        labelled-null numbering, fact sets, derivation counts, rounds
+        and the count of nulls drawn agree, with heads of every
+        shape."""
         from repro.testing.generator import (
             GeneratorConfig, generate_program,
         )
@@ -340,8 +341,8 @@ class TestBulkHeadInsertion:
 
     @given(rng=st.randoms(use_true_random=False))
     def test_assignment_rules_fire_identically(self, rng):
-        """With compiled assignments (some rows masked or raising), the
-        bulk and per-binding paths agree."""
+        """With compiled assignments (some rows masked or raising), bulk
+        firing and the row loop agree."""
         from repro.testing.generator import (
             GeneratorConfig, generate_program,
         )

@@ -5,8 +5,8 @@ store as an absence check in the rule's plans.
 Covers the declaration (engine, oracle and lint exempt exactly the
 declared same-component negations), the plan step, the exactness
 predicate that decides whether rows are probed again before they fire,
-firing order on the bulk and the per-binding path, and pricing head
-plans without keeping an index.
+firing order under FIFO and under a routing strategy (both through the
+row loop), and pricing head plans without keeping an index.
 """
 
 import pytest
@@ -41,7 +41,8 @@ p(X, Y), not seen(Y) -> seen(Y), pick(X, Y).
 
 def in_discovery_order(rule, bindings):
     """FIFO order under another name: any strategy other than
-    ``fifo_strategy`` makes every rule fire binding by binding."""
+    ``fifo_strategy`` makes every rule fire through the row loop, which
+    hands the strategy its rows as substitution dicts."""
     return list(bindings)
 
 
@@ -136,7 +137,9 @@ class TestAbsenceStep:
         # Both positions are bound: one full-key probe per row.
         (step,) = {step.key_positions for step in _absence(plans)}
         assert step == (0, 1)
-        assert engine._batch_fire_mode(rule) == "facts"
+        # An existential rule: rows fire one at a time, each blocking
+        # later rows' keys.
+        assert engine._batch_fire_mode(rule) == "rows"
 
     def test_stratified_negation_keeps_its_step(self):
         program = Program.parse(SUDA)
@@ -192,7 +195,9 @@ class TestAbsenceStep:
 
 class TestFiringOrder:
     """The non-exact fixture fires the first row per key, in batch
-    order (insertion order of ``p``), on both firing paths."""
+    order (insertion order of ``p``), under FIFO and under a
+    pass-through routing strategy: the row loop decides each row
+    against the store as earlier rows left it."""
 
     @pytest.mark.parametrize("per_binding", [False, True])
     @pytest.mark.parametrize("rows, expected", [
@@ -220,14 +225,20 @@ class TestFiringOrder:
         }
 
     def test_fixture_fires_in_bulk(self):
+        """Under FIFO the fixture fires from its batch columns, one row
+        at a time: a firing can fill a later row's absence key."""
         program = Program.parse(FIRST_PER_KEY)
         engine = ChaseEngine(
             program.rules,
             operational_negation=program.operational_negation(),
         )
-        assert engine._batch_fire_mode(_rule(program, "pick")) == "facts"
+        engine._compile_plans(None)
+        assert engine._batch_fire_mode(_rule(program, "pick")) == "rows"
 
     def test_suda_per_binding_path_matches_bulk(self):
+        """SUDA under a pass-through routing strategy, every rule
+        through the row loop, derives what FIFO firing (bulk where the
+        shape allows) derives."""
         from repro.data import generate_dataset
 
         db = generate_dataset("R6A4U", seed=7, scale=600)
