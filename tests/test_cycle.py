@@ -410,3 +410,85 @@ class TestSudaCycleGolden:
         for report in result.reports:
             digest.update(repr((report.scores, report.details)).encode())
         assert digest.hexdigest() == self.EXPECTED[(semantics.name, seed)]
+
+
+class TestKAnonCycleGolden:
+    """The k-anonymity cycle pinned end to end, with local suppression
+    on wide R50A9W (nine QIs) and with recode-then-suppress on tall
+    R100A4U (four QIs, the survey hierarchy): for three dataset seeds
+    under both semantics, one hash over every step (row, attribute, old
+    and new value, reason), the shared view (nulls by label) and every
+    iteration's report scores, details and parameters.  Any change in
+    how the cycle's assessments count groups moves a score, a detail
+    or a step."""
+
+    EXPECTED = {
+        ("local-suppression", "maybe-match", 1):
+            "84a5b768e43c4214f635e3e8cf5310f587d5a6f4",
+        ("local-suppression", "maybe-match", 2):
+            "b7fe8ecd222825e2cd13a02e1ca4360bb19ef323",
+        ("local-suppression", "maybe-match", 3):
+            "ebe3db46c8fc606d991b9305bfc3862bb41b564c",
+        ("local-suppression", "standard", 1):
+            "c00d4ace85e54ae3b7d90d470d4c044ab1d8b170",
+        ("local-suppression", "standard", 2):
+            "b7ba37ce38f7bc1b526a1e0400d230e75b59b325",
+        ("local-suppression", "standard", 3):
+            "5dce4d970e071bf35ff5a31c787563c62126db0b",
+        ("recode-then-suppress", "maybe-match", 1):
+            "cbf8bc40fa1ad00865ef646a0272928f0d94b672",
+        ("recode-then-suppress", "maybe-match", 2):
+            "a30f3ec370d56a6aada0fcc10960c96f1321af00",
+        ("recode-then-suppress", "maybe-match", 3):
+            "59d79176be0d545d4f3f3d91351e68c4e02b58a9",
+        ("recode-then-suppress", "standard", 1):
+            "77f16749a0873c8503d5e15b6fa5f2299a809446",
+        ("recode-then-suppress", "standard", 2):
+            "576e05a18f32b5f4324ff97ae369738d31f4e5b6",
+        ("recode-then-suppress", "standard", 3):
+            "492cb6d6fb50fffeebfe93e47c807b9ecb8efb78",
+    }
+
+    @pytest.mark.parametrize("method", ["local-suppression",
+                                        "recode-then-suppress"])
+    @pytest.mark.parametrize("semantics", [MAYBE_MATCH, STANDARD])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_steps_view_and_reports_are_pinned(self, method, semantics,
+                                               seed):
+        import hashlib
+
+        from repro.data import survey_hierarchy
+        from repro.data.generator import generate_dataset
+
+        if method == "local-suppression":
+            db = generate_dataset("R50A9W", seed=seed, scale=200)
+            cycle = AnonymizationCycle(
+                KAnonymityRisk(k=2), LocalSuppression(),
+                semantics=semantics,
+            )
+        else:
+            db = generate_dataset("R100A4U", seed=seed, scale=100)
+            cycle = AnonymizationCycle(
+                KAnonymityRisk(k=3), RecodeThenSuppress(survey_hierarchy()),
+                semantics=semantics,
+            )
+        result = cycle.run(db)
+        view = result.shared_view()
+        digest = hashlib.sha1()
+        digest.update(repr([
+            (step.row, step.attribute, str(step.old_value),
+             str(step.new_value), step.reason)
+            for step in result.steps
+        ]).encode())
+        digest.update(repr([
+            tuple(str(row[a]) for a in view.schema.attributes)
+            for row in view.rows
+        ]).encode())
+        for report in result.reports:
+            digest.update(repr((
+                report.scores, report.details,
+                sorted(report.parameters.items()),
+            )).encode())
+        assert digest.hexdigest() == self.EXPECTED[
+            (method, semantics.name, seed)
+        ]
