@@ -4,10 +4,12 @@ The cycle's recheck (skip tuples already fixed by earlier suppressions
 in the same pass) reads the run's incrementally updated group index:
 one hash probe per live null mask instead of a full semantics
 recomputation.  The "most risky first" heuristic reads its
-leave-one-out counts from the same index.  This bench quantifies the
+leave-one-out counts from the same index, and the cycle's k-anonymity
+assessments read every row's count from it.  This bench quantifies the
 per-recheck cost of both paths — the design choice that keeps the
 injected-null counts minimal *and* the cycle fast — and checks the
-recheck and the leave-one-out counts against fresh ``match_counts``.
+recheck, the whole-table counts and the leave-one-out counts against
+fresh ``match_counts``.
 Run it with ``PYTHONPATH=src python benchmarks/bench_tracker.py``.
 """
 
@@ -43,11 +45,13 @@ def tracker_vs_recompute():
     counts = MAYBE_MATCH.match_counts(db, attributes)
     recompute_time = time.perf_counter() - start
 
-    # Consistency: the tracker agrees with the full recomputation, and
-    # so does each QI's leave-one-out count.
+    # Consistency: the tracker agrees with the full recomputation, for
+    # every row's count (what the cycle's k-anonymity assessments
+    # read), and so does each QI's leave-one-out count.
     for row in probes:
         count, _ = tracker.stats(row)
         assert count == counts[row]
+    assert tracker.index.counts() == counts
     for attribute in attributes:
         remaining = [a for a in attributes if a != attribute]
         expected = MAYBE_MATCH.match_counts(db, remaining)

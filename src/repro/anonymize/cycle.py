@@ -15,13 +15,17 @@ until every tuple's risk is within the threshold T:
 
 Mirroring the monotonic-aggregation semantics that lets an anonymized
 tuple supersede its original *within* an iteration, the cycle keeps one
-incremental :class:`GroupTracker` for the whole run, updated after
-every step.  Before acting on a tuple it rechecks whether earlier
-suppressions in the same pass already pushed it under the threshold,
-which is what keeps the injected-null counts minimal (Fig. 7a).
-Measures that cannot be rechecked from group statistics alone (SUDA)
-simply skip the recheck.  The same index gives the QI heuristic its
-leave-one-out counts at the start of each pass.
+incremental :class:`GroupTracker` for the whole run, built before the
+first assessment and updated after every step.  Before acting on a
+tuple it rechecks whether earlier suppressions in the same pass already
+pushed it under the threshold, which is what keeps the injected-null
+counts minimal (Fig. 7a).  Measures that cannot be rechecked from group
+statistics alone (SUDA) simply skip the recheck.  The same index gives
+the QI heuristic its leave-one-out counts at the start of each pass,
+and every assessment goes through :meth:`RiskMeasure.assess_index` over
+it: k-anonymity reads each row's current count from the index instead
+of regrouping the table, while measures that sum weights or have no
+group form (SUDA) assess the DB afresh.
 
 Every applied step carries the full motivation (the body binding of
 Rule 2: tuple id, risk score, group evidence) in the result's trace —
@@ -56,7 +60,7 @@ class GroupTracker:
     whole cycle run.  :meth:`stats` reads a row's current group (the
     recheck); :meth:`after_change` reports each suppressed or recoded
     row, so only the groups of its old and new null mask move.  The QI
-    heuristic reads its leave-one-out counts from :attr:`index`.
+    heuristic and the assessments read :attr:`index`.
     """
 
     def __init__(
@@ -222,14 +226,16 @@ class AnonymizationCycle:
         reports: List[RiskReport] = []
         initial_risky: List[int] = []
         converged = False
-        attributes = self.attributes or working.quasi_identifiers
-        tracker: Optional[GroupTracker] = None
+        attributes = self.measure._resolve_attributes(
+            working, self.attributes
+        )
+        tracker = GroupTracker(working, attributes, self.semantics)
         recheck = self.recheck and self._supports_recheck()
 
         iteration = 0
         while iteration < self.max_iterations:
             iteration += 1
-            report = self._assess(working)
+            report = self._assess(working, tracker.index)
             reports.append(report)
             risky = report.risky_indices(self.threshold)
             if iteration == 1:
@@ -255,8 +261,6 @@ class AnonymizationCycle:
                     )
                 break
             ordered = self.tuple_ordering(working, actionable, report)
-            if tracker is None:
-                tracker = GroupTracker(working, attributes, self.semantics)
             self.qi_selection.prepare(tracker.index, ordered)
             acted = 0
             suppressed_now = 0
@@ -375,11 +379,11 @@ class AnonymizationCycle:
                 break
 
         if not converged:
-            final = self._assess(working)
+            final = self._assess(working, tracker.index)
             reports.append(final)
             converged = not final.risky_indices(self.threshold)
         elif not reports or reports[-1].risky_indices(self.threshold):
-            final = self._assess(working)
+            final = self._assess(working, tracker.index)
             reports.append(final)
             converged = not final.risky_indices(self.threshold)
 
@@ -482,12 +486,13 @@ class AnonymizationCycle:
                 qis=list(attributes),
             )
 
-    def _assess(self, db: MicrodataDB) -> RiskReport:
+    def _assess(self, db: MicrodataDB, index: GroupIndex) -> RiskReport:
         with telemetry.profile_block(
             "cycle.assess", measure=type(self.measure).__name__
         ):
-            report = self.measure.assess(
-                db, semantics=self.semantics, attributes=self.attributes
+            report = self.measure.assess_index(
+                db, index, semantics=self.semantics,
+                attributes=self.attributes,
             )
             if self.clusters:
                 report = propagate_over_clusters(report, self.clusters)

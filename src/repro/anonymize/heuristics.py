@@ -40,15 +40,15 @@ def less_significant_first(
     db: MicrodataDB, risky: List[int], report: RiskReport
 ) -> List[int]:
     """Lowest sampling weight first (the paper's default)."""
-    return sorted(risky, key=db.weights().__getitem__)
+    return sorted(risky, key=db.weight_of)
 
 
 def most_risky_tuple_first(
     db: MicrodataDB, risky: List[int], report: RiskReport
 ) -> List[int]:
     """Highest risk score first (ties broken by weight ascending)."""
-    weights = db.weights()
-    return sorted(risky, key=lambda i: (-report.scores[i], weights[i]))
+    scores = report.scores
+    return sorted(risky, key=lambda i: (-scores[i], db.weight_of(i)))
 
 
 TUPLE_ORDERINGS: Dict[str, TupleOrdering] = {

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Type
 
 from ..errors import ReproError
 from ..model.microdata import MicrodataDB
-from ..model.nulls import MAYBE_MATCH, NullSemantics
+from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
 
 
 class RiskVerdict:
@@ -178,6 +178,51 @@ class RiskMeasure:
         attacker is aware of"); None means all quasi-identifiers.
         """
         raise NotImplementedError
+
+    def assess_index(
+        self,
+        db: MicrodataDB,
+        index: GroupIndex,
+        semantics: NullSemantics = MAYBE_MATCH,
+        attributes: Optional[Sequence[str]] = None,
+    ) -> RiskReport:
+        """Score every row of ``db`` given a :class:`GroupIndex` kept
+        current over it (the anonymization cycle's run index).
+
+        The index must be over ``db``, on the resolved ``attributes``
+        and under ``semantics``' null matching.  Measures that can read
+        their group statistics from it override this; the base
+        implementation is :meth:`assess`.
+        """
+        self._check_index(db, index, semantics, attributes)
+        return self.assess(db, semantics=semantics, attributes=attributes)
+
+    def _check_index(
+        self,
+        db: MicrodataDB,
+        index: GroupIndex,
+        semantics: NullSemantics,
+        attributes: Optional[Sequence[str]],
+    ) -> List[str]:
+        """The resolved attributes, once ``index`` is known to be over
+        ``db`` on them under ``semantics``."""
+        attributes = self._resolve_attributes(db, attributes)
+        if index.db is not db:
+            raise ReproError(
+                f"group index is over {index.db.name!r}, not over the "
+                f"assessed {db.name!r}"
+            )
+        if index.attributes != attributes:
+            raise ReproError(
+                f"group index is on {index.attributes}, not on the "
+                f"assessed attributes {attributes}"
+            )
+        if index.nulls_match != semantics.nulls_match:
+            raise ReproError(
+                f"group index does not match nulls as {semantics.name} "
+                "semantics does"
+            )
+        return attributes
 
     def safe_from_group(
         self, count: int, weight_sum: float, threshold: float

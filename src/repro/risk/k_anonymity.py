@@ -10,11 +10,11 @@ to frequency 5.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ReproError
 from ..model.microdata import MicrodataDB
-from ..model.nulls import MAYBE_MATCH, NullSemantics
+from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -36,7 +36,28 @@ class KAnonymityRisk(RiskMeasure):
         attributes: Optional[Sequence[str]] = None,
     ) -> RiskReport:
         attributes = self._resolve_attributes(db, attributes)
-        counts = semantics.match_counts(db, attributes)
+        return self._report(
+            semantics.match_counts(db, attributes), attributes, semantics
+        )
+
+    def assess_index(
+        self,
+        db: MicrodataDB,
+        index: GroupIndex,
+        semantics: NullSemantics = MAYBE_MATCH,
+        attributes: Optional[Sequence[str]] = None,
+    ) -> RiskReport:
+        """The report from the index's current counts, without
+        regrouping the table."""
+        attributes = self._check_index(db, index, semantics, attributes)
+        return self._report(index.counts(), attributes, semantics)
+
+    def _report(
+        self,
+        counts: List[int],
+        attributes: List[str],
+        semantics: NullSemantics,
+    ) -> RiskReport:
         scores = [1.0 if count < self.k else 0.0 for count in counts]
         details = [
             f"frequency {count} vs k={self.k}"

@@ -19,7 +19,8 @@ from repro.model import (
     semantics_by_name,
     survey_schema,
 )
-from repro.risk import group_closeness, sensitive_diversity
+from repro.model.nulls import null_masks
+from repro.risk import KAnonymityRisk, group_closeness, sensitive_diversity
 from repro.vadalog.terms import LabelledNull, NullFactory
 
 
@@ -118,6 +119,32 @@ class TestMaybeMatchSemantics:
         sums = MAYBE_MATCH.match_weight_sums(db)
         assert sums[0] == 18  # the null row matches everyone
         assert sums[1] == 15  # x matches itself and the null row
+
+
+class TestNullMasks:
+    BITS = (1, 2, 4)
+
+    def test_null_free_input_is_all_zero(self):
+        assert null_masks([(1, "a", 2.0), (3, "b", 4.0)], self.BITS) == [0, 0]
+
+    def test_one_null(self):
+        projections = [(1, "a", 2), (3, LabelledNull(1), 4), (5, "c", 6)]
+        assert null_masks(projections, self.BITS) == [0, 2, 0]
+
+    def test_all_null_column(self):
+        projections = [(LabelledNull(i), "a", LabelledNull(9)) for i in
+                       range(3)]
+        projections.append((LabelledNull(5), "b", 7))
+        assert null_masks(projections, self.BITS) == [5, 5, 5, 1]
+
+    def test_one_row(self):
+        assert null_masks([(LabelledNull(1), 2, LabelledNull(1))],
+                          self.BITS) == [5]
+        assert null_masks([(1, 2, 3)], self.BITS) == [0]
+
+    def test_no_rows_and_no_columns(self):
+        assert null_masks([], self.BITS) == []
+        assert null_masks(iter([(), ()]), ()) == [0, 0]
 
 
 class TestSemanticsLookup:
@@ -337,3 +364,51 @@ class TestGroupIndexConsumers:
             for row in first.rows
         ]
         assert composition_links(first, second, None, semantics) == expected
+
+
+@st.composite
+def edited_dataset(draw):
+    """``wide_dataset_with_nulls`` with up to eight edits applied after
+    its index was built: ``(row, column, None)`` suppresses the cell
+    with a fresh null, ``(row, column, j)`` recodes it to row j's cell
+    in that column (a constant or a null)."""
+    db = draw(wide_dataset_with_nulls())
+    qis = db.quasi_identifiers
+    edits = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(db) - 1),
+            st.sampled_from(qis),
+            st.one_of(st.none(), st.integers(0, len(db) - 1)),
+        ),
+        max_size=8,
+    ))
+    return db, edits
+
+
+class TestLiveIndex:
+    """A :class:`GroupIndex` kept current through :meth:`update`, as
+    the anonymization cycle keeps its run index, answers as a fresh
+    grouping of the edited table does."""
+
+    @given(edited_dataset(), semantics_strategy)
+    def test_live_index_equals_fresh(self, edited, semantics):
+        db, edits = edited
+        index = GroupIndex(
+            db, values=db.weights(), nulls_match=semantics.nulls_match
+        )
+        index.counts()  # build groups that the edits must then move
+        factory = NullFactory(start=100)
+        measure = KAnonymityRisk(k=2)
+        for row, attribute, source in edits:
+            value = (
+                factory.fresh() if source is None
+                else db.rows[source][attribute]
+            )
+            db.with_value(row, attribute, value)
+            index.update(row)
+            assert index.counts() == semantics.match_counts(db)
+            live = measure.assess_index(db, index, semantics=semantics)
+            fresh = measure.assess(db, semantics=semantics)
+            assert live.scores == fresh.scores
+            assert live.details == fresh.details
+            assert live.parameters == fresh.parameters

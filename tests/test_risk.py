@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from repro.data import generate_dataset
 from repro.errors import ReproError
-from repro.model import MAYBE_MATCH, STANDARD, MicrodataDB, survey_schema
+from repro.model import (
+    MAYBE_MATCH,
+    STANDARD,
+    GroupIndex,
+    MicrodataDB,
+    survey_schema,
+)
 from repro.risk import (
     RISK_REGISTRY,
     IndividualRisk,
@@ -108,6 +114,16 @@ class TestKAnonymity:
         measure = KAnonymityRisk(k=3)
         assert measure.safe_from_group(3, 0.0, 0.5)
         assert not measure.safe_from_group(2, 0.0, 0.5)
+
+    def test_assess_index_rejects_a_foreign_index(self, cities_db):
+        measure = KAnonymityRisk(k=2)
+        index = GroupIndex(cities_db)
+        with pytest.raises(ReproError, match="not over"):
+            measure.assess_index(cities_db.copy(), index)
+        with pytest.raises(ReproError, match="not on"):
+            measure.assess_index(cities_db, index, attributes=["Sector"])
+        with pytest.raises(ReproError, match="standard"):
+            measure.assess_index(cities_db, index, semantics=STANDARD)
 
     def test_maybe_match_reduces_risk(self, cities_db):
         db = cities_db.copy()
