@@ -75,6 +75,9 @@ class MicrodataSchema:
             raise SchemaError(
                 f"multiple sampling-weight attributes: {', '.join(weights)}"
             )
+        #: the sampling-weight attribute, or None; resolved once, since
+        #: ``MicrodataDB.weight_of`` reads it for every row it weighs
+        self.weight_attribute: Optional[str] = weights[0] if weights else None
 
     # -- category views ---------------------------------------------------
 
@@ -100,11 +103,6 @@ class MicrodataSchema:
     @property
     def weight_attributes(self) -> List[str]:
         return self.of_category(AttributeCategory.WEIGHT)
-
-    @property
-    def weight_attribute(self) -> Optional[str]:
-        weights = self.weight_attributes
-        return weights[0] if weights else None
 
     def category_of(self, attribute: str) -> AttributeCategory:
         try:
