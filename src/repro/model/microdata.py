@@ -10,7 +10,6 @@ kept for information-loss accounting.
 
 from __future__ import annotations
 
-import copy
 from typing import (
     Any,
     Dict,
@@ -134,8 +133,21 @@ class MicrodataDB:
 
     # -- mutation-by-copy -------------------------------------------------------
 
+    @classmethod
+    def _validated(
+        cls, name: str, schema: MicrodataSchema, rows: List[Dict[str, Any]]
+    ) -> "MicrodataDB":
+        """A DB that takes ``rows`` as they are: fresh dicts over exactly
+        ``schema``'s attributes, so :meth:`__init__`'s copy and checks
+        would only repeat work."""
+        db = cls.__new__(cls)
+        db.name = name
+        db.schema = schema
+        db.rows = rows
+        return db
+
     def copy(self) -> "MicrodataDB":
-        return MicrodataDB(
+        return self._validated(
             self.name, self.schema, [dict(row) for row in self.rows]
         )
 
@@ -155,7 +167,7 @@ class MicrodataDB:
         categories = {a: self.schema.categories[a] for a in kept}
         schema = MicrodataSchema(kept, categories, self.schema.descriptions)
         rows = [{a: row[a] for a in kept} for row in self.rows]
-        return MicrodataDB(self.name, schema, rows)
+        return self._validated(self.name, schema, rows)
 
     # -- engine bridge ------------------------------------------------------------
 

@@ -42,7 +42,9 @@ Semantics implemented here:
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from itertools import groupby, repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, \
     Tuple
@@ -197,6 +199,30 @@ def _tuple_column(columns: List[List[Term]], n: int) -> List[Tuple]:
     return list(zip(*columns))
 
 
+@contextmanager
+def gc_paused():
+    """Pause Python's cyclic garbage collector for the duration of a
+    chase.
+
+    Reference counting frees every atom, term tuple and derivation the
+    chase drops; the store it builds is acyclic, so the full
+    collections its allocations trigger rescan tens of thousands of
+    live facts and free almost nothing.  Entered while the collector
+    is already off (a nested run, or a caller who disabled it), this
+    does nothing and leaves the state to the outermost owner.  The
+    switch is process-wide: while a chase runs, cyclic garbage made by
+    other threads waits for the collector too.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class ChaseEngine:
     """Evaluates a set of rules (and EGDs) over an input fact store."""
 
@@ -271,8 +297,10 @@ class ChaseEngine:
 
     # -- public API ------------------------------------------------------
 
+    @gc_paused()
     def run(self, facts: Iterable[Fact]) -> ChaseResult:
-        """Run the reasoning task over the given extensional facts."""
+        """Run the reasoning task over the given extensional facts,
+        with the cyclic garbage collector paused (:func:`gc_paused`)."""
         store = facts if isinstance(facts, FactStore) else FactStore(facts)
         provenance = ProvenanceLog(enabled=self.provenance_enabled)
         null_factory = self._null_factory or NullFactory()
@@ -1207,28 +1235,30 @@ class ChaseEngine:
         external_literals,
         substitution: Substitution,
         context: ExternalContext,
+        position: int = 0,
     ):
-        """Evaluate the rule's external atoms (in order) against a
-        regular-body binding, then the ``deferred`` conditions that
-        needed their outputs."""
+        """Evaluate the rule's external atoms (in order, from
+        ``position``) against a regular-body binding, then the
+        ``deferred`` conditions that needed their outputs.  It recurses
+        as a method: a closure that named itself would be a reference
+        cycle per row, kept until the paused collector (:func:`gc_paused`)
+        runs again."""
         if not external_literals:
             yield substitution
             return
-
-        def _chain(bindings, position):
-            if position == len(external_literals):
-                for condition in deferred:
-                    if not condition.holds(bindings):
-                        return
-                yield bindings
-                return
-            atom = external_literals[position].atom
-            for extended in self.externals.evaluate(
-                atom.predicate, atom.terms, bindings, context
-            ):
-                yield from _chain(extended, position + 1)
-
-        yield from _chain(substitution, 0)
+        if position == len(external_literals):
+            for condition in deferred:
+                if not condition.holds(substitution):
+                    return
+            yield substitution
+            return
+        atom = external_literals[position].atom
+        for extended in self.externals.evaluate(
+            atom.predicate, atom.terms, substitution, context
+        ):
+            yield from self._expand_externals(
+                deferred, external_literals, extended, context, position + 1
+            )
 
     def _isomorphic_image(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import Atom, Fact
-from .chase import ChaseEngine, ChaseResult
+from .chase import ChaseEngine, ChaseResult, gc_paused
 from .database import FactStore
 from .externals import ExternalRegistry
 from .negation import operational_predicates, stratify
@@ -150,6 +150,7 @@ class Program:
 
     # -- evaluation -------------------------------------------------------------
 
+    @gc_paused()
     def run(
         self,
         facts: Iterable[Fact] = (),
@@ -181,6 +182,10 @@ class Program:
         in/out, probe hits, wall time) are collected and surface as
         ``result.explain_report`` / ``result.stats["explain"]`` — see
         ``docs/observability.md``.
+
+        The cyclic garbage collector is paused from the preflight to
+        the end of the chase, so building the store runs paused too
+        (:func:`~repro.vadalog.chase.gc_paused`).
         """
         if preflight:
             self.preflight()

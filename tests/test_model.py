@@ -106,14 +106,46 @@ class TestMicrodataDB:
         assert db.suppressed_cells(["Area"]) == 0
 
     def test_copy_is_deep_for_rows(self, cities_db):
+        rows = [dict(row) for row in cities_db.rows]
         clone = cities_db.copy()
+        assert (clone.name, clone.schema, clone.rows) == (
+            cities_db.name, cities_db.schema, rows
+        )
         clone.with_value(0, "Area", "Changed")
+        clone.rows.append(dict(rows[0]))
         assert cities_db.rows[0]["Area"] == "Roma"
+        assert cities_db.rows == rows
 
     def test_drop_identifiers(self, ig_db):
         shared = ig_db.drop_identifiers()
         assert "Id" not in shared.schema.attributes
         assert len(shared) == len(ig_db)
+
+    def test_drop_identifiers_matches_a_validated_build(self, ig_db):
+        """The shared view equals the DB built from the projected rows
+        through the validating constructor, attribute order included,
+        and editing it leaves the original alone."""
+        kept = ig_db.schema.shared_view()
+        expected = MicrodataDB(
+            ig_db.name,
+            MicrodataSchema(
+                kept,
+                {a: ig_db.schema.categories[a] for a in kept},
+                ig_db.schema.descriptions,
+            ),
+            [{a: row[a] for a in kept} for row in ig_db.rows],
+        )
+        shared = ig_db.drop_identifiers()
+        assert shared.name == expected.name
+        assert shared.schema.attributes == expected.schema.attributes
+        assert shared.schema.categories == expected.schema.categories
+        assert shared.schema.descriptions == expected.schema.descriptions
+        assert [list(row.items()) for row in shared.rows] == [
+            list(row.items()) for row in expected.rows
+        ]
+        before = [dict(row) for row in ig_db.rows]
+        shared.with_value(0, "Area", LabelledNull(2))
+        assert ig_db.rows == before
 
     def test_facts_roundtrip(self, cities_db):
         facts = cities_db.to_facts()

@@ -1,6 +1,8 @@
 """Chase engine tests: recursion, existentials, restricted chase,
 negation, aggregation, externals, routing, provenance."""
 
+import gc
+
 import pytest
 
 from repro import telemetry
@@ -374,6 +376,73 @@ class TestGuards:
         )
         with pytest.raises(EvaluationError):
             program.run(max_facts=500)
+
+
+class TestCollectorPause:
+    """The chase pauses the cyclic garbage collector and hands its
+    state back unchanged, whichever way the run ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def observing(seen, nested=None):
+        """A registry whose ``#probe(X)`` records ``gc.isenabled()``
+        (after running ``nested``, when given) and keeps every X."""
+        registry = ExternalRegistry()
+
+        def probe(context, x):
+            if nested is not None:
+                nested()
+            seen.append(gc.isenabled())
+            yield (x,)
+
+        registry.register("probe", probe)
+        return registry
+
+    def test_enabled_again_after_run(self):
+        gc.enable()
+        result = Program.parse("n(1). m(X) :- n(X).").run()
+        assert result.tuples("m") == [(1,)]
+        assert gc.isenabled()
+
+    def test_enabled_again_after_error_mid_chase(self):
+        gc.enable()
+        program = Program.parse('p(1, "a").\np(X, _Y) -> r(X, _Y).\n')
+        with pytest.raises(EvaluationError, match="not ground"):
+            program.run(preflight=False)
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self):
+        gc.disable()
+        Program.parse("n(1). m(X) :- n(X).").run()
+        ChaseEngine(Program.parse("m(X) :- n(X).").rules).run(
+            [Atom.of("n", 1)]
+        )
+        assert not gc.isenabled()
+
+    def test_rule_loop_runs_paused(self):
+        gc.enable()
+        seen = []
+        program = Program.parse("n(1). n(2). m(X) :- n(X), #probe(X).")
+        program.run(externals=self.observing(seen))
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_nested_run_leaves_outer_pause(self):
+        gc.enable()
+        inner = Program.parse("k(1). j(X) :- k(X).")
+        seen = []
+        program = Program.parse("n(1). n(2). m(X) :- n(X), #probe(X).")
+        result = program.run(
+            externals=self.observing(seen, nested=inner.run)
+        )
+        assert sorted(result.tuples("m")) == [(1,), (2,)]
+        assert seen == [False, False]
+        assert gc.isenabled()
 
 
 class TestTelemetryObserves:

@@ -2,7 +2,9 @@
 the declarative fidelity path, cross-checked against the native
 executors."""
 
+import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +23,10 @@ from repro.risk import (
 )
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
-from repro.vadalog.terms import NullFactory
+from repro.vadalog.columnar import ColumnarRelation
+from repro.vadalog.database import FactStore
+from repro.vadalog.explain import Derivation
+from repro.vadalog.terms import Constant, LabelledNull, NullFactory
 from repro.vadalog_programs import (
     ANONYMIZATION_CYCLE,
     CATEGORIZATION,
@@ -352,6 +357,53 @@ class TestEngineCycle:
         result = program.run(base_facts(db, T=0.5), externals=registry)
         accepted = {i for _, i, _ in result.tuples("tupleA")}
         assert accepted == set(range(len(db)))
+
+
+class TestBoundedCyclicGarbage:
+    """The chase runs with the cyclic collector paused, which costs
+    nothing only while a run leaves a bounded amount of cyclic garbage
+    and none of it is the store: reference counting must free every
+    fact, term and derivation.  Each module runs at two input sizes,
+    one double the other, with the collector off and every unreachable
+    object kept for inspection."""
+
+    LIMIT = 1000
+    STORE_TYPES = (
+        Atom, Derivation, Constant, LabelledNull, FactStore,
+        ColumnarRelation,
+    )
+
+    @pytest.mark.parametrize("module, params, code, scales", [
+        (K_ANONYMITY, {"k": 2}, "R100A4U", (480, 240)),
+        (INDIVIDUAL_RISK, {}, "R100A4U", (480, 240)),
+        (SUDA, {"suda_k": 3}, "R6A4U", (400, 200)),
+        (ANONYMIZATION_CYCLE, {"T": 0.5}, "R100A4U", (480, 240)),
+    ], ids=["k-anonymity", "individual-risk", "suda", "cycle"])
+    def test_run_leaves_no_cyclic_store(self, module, params, code, scales):
+        program = Program.parse(TUPLE_BUILD + module)
+        for scale in scales:
+            db = generate_dataset(code, seed=7, scale=scale)
+            facts = base_facts(db, **params)
+            registry, _ = cycle_registry()
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                result = program.run(facts, externals=registry)
+                assert len(result.store) > len(facts)
+                del result
+                found = gc.collect()
+                kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+                stored = [
+                    obj for obj in gc.garbage
+                    if isinstance(obj, self.STORE_TYPES)
+                ]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+            assert found < self.LIMIT, (len(db), kinds.most_common(5))
+            assert not stored, (len(db), kinds.most_common(5))
 
 
 class TestSudaOracleDifferential:
