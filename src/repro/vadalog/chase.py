@@ -650,7 +650,7 @@ class ChaseEngine:
             yield plans.first_round
             return
         for _index, predicate, plan in plans.delta_plans:
-            if store.delta(predicate):
+            if store.has_delta(predicate):
                 yield plan
 
     def _execute(

@@ -124,24 +124,23 @@ def _column_nbytes(column) -> int:
 class ColumnarRelation:
     """Dictionary-encoded columnar storage for one predicate.
 
-    ``delta`` is the current semi-naive frontier (facts new as of the
-    previous round); ``pending`` collects facts added during the
-    current round and becomes the next frontier on
-    :meth:`FactStore.advance_delta`.  Frontier probes go through
-    lazily built fact-set views; full-store probes go through rowid
-    buckets over int64 code columns.  Retraction (functional
-    aggregates, EGD null unification) tombstones the rowid instead of
-    rewriting columns.
+    Rows are append-only, so the semi-naive frontier is a rowid range:
+    the live rows in ``[delta_lo, delta_hi)`` are new as of the
+    previous round, and every row from ``delta_hi`` on is pending —
+    added this round, frontier after :meth:`FactStore.advance_delta`.
+    Frontier probes scan that range in rowid order; full-store probes
+    go through rowid buckets over int64 code columns.  Retraction
+    (functional aggregates, EGD null unification) tombstones the rowid
+    instead of rewriting columns, which drops it from the frontier
+    too.
     """
 
     backend = "columnar"
 
     __slots__ = (
         "arity", "dictionary", "fact_of", "rowid_of", "rows", "columns",
-        "dead",
-        "groups", "_delta", "snapshot_upto", "pending", "delta_indices",
-        "encoded_upto", "active", "probes", "probe_hits", "adds",
-        "dedup_hits",
+        "dead", "groups", "delta_lo", "delta_hi", "encoded_upto",
+        "active", "probes", "probe_hits", "adds", "dedup_hits",
     )
 
     def __init__(self, arity: int):
@@ -167,17 +166,9 @@ class ColumnarRelation:
         self.groups: Dict[
             Tuple[int, ...], Dict[Tuple[int, ...], List[int]]
         ] = {}
-        self._delta: Set[Fact] = set()
-        #: When >= 0, the frontier is every live row below this rowid
-        #: and ``_delta`` is not built yet (see :attr:`delta`).
-        self.snapshot_upto = -1
-        self.pending: Set[Fact] = set()
-        # Frontier-scoped views keyed by positions, rebuilt lazily
-        # whenever the frontier changes (so at most once per
-        # positions and round).
-        self.delta_indices: Dict[
-            Tuple[int, ...], Dict[Tuple[Term, ...], Set[Fact]]
-        ] = {}
+        #: the frontier's rowid range (live rows only count).
+        self.delta_lo = 0
+        self.delta_hi = 0
         #: rows[:encoded_upto] have codes in every *active* column;
         #: appends past this watermark are plain list/dict inserts
         #: until the next partial-key probe forces an encode pass.
@@ -212,7 +203,6 @@ class ColumnarRelation:
         fact_of = self.fact_of
         rowid_of = self.rowid_of
         rows = self.rows
-        pending = self.pending
         positions: List[int] = []
         new: List[Fact] = []
         for position, terms in enumerate(tuples):
@@ -226,7 +216,6 @@ class ColumnarRelation:
             if rowid_of is not None:
                 rowid_of[terms] = len(rows)
             rows.append(fact)
-            pending.add(fact)
             positions.append(position)
             new.append(fact)
         self.adds += len(new)
@@ -303,33 +292,29 @@ class ColumnarRelation:
                 "store.columnar.rows_encoded"
             ).inc(cells)
 
-    @property
-    def delta(self) -> Set[Fact]:
-        """The semi-naive frontier.  After :meth:`reset_frontier` it is
-        every live fact stored at the reset, built on first read; the
-        chase's first round of a stratum runs no delta plan, so it
-        usually never is."""
-        upto = self.snapshot_upto
-        if upto >= 0:
-            dead = self.dead
-            rows = self.rows
-            self._delta = {
-                rows[rowid] for rowid in range(upto) if rowid not in dead
-            }
-            self.snapshot_upto = -1
-        return self._delta
-
-    @delta.setter
-    def delta(self, facts: Set[Fact]) -> None:
-        self._delta = facts
-        self.snapshot_upto = -1
-
     def reset_frontier(self) -> None:
         """Make every stored fact frontier, and none pending."""
-        self._delta = set()
-        self.snapshot_upto = len(self.rows)
-        self.pending = set()
-        self.delta_indices.clear()
+        self.delta_lo = 0
+        self.delta_hi = len(self.rows)
+
+    def frontier(self) -> Tuple[Fact, ...]:
+        """The live frontier facts, in rowid order."""
+        lo = self.delta_lo
+        rows = self.rows[lo:self.delta_hi]
+        dead = self.dead
+        if not dead:
+            return tuple(rows)
+        return tuple([
+            fact for rowid, fact in enumerate(rows, lo)
+            if rowid not in dead
+        ])
+
+    def has_frontier(self) -> bool:
+        """Is any frontier row live?  Stops at the first one."""
+        dead = self.dead
+        return any(
+            rowid not in dead for rowid in range(self.delta_lo, self.delta_hi)
+        )
 
     def remove(self, fact: Fact) -> bool:
         if self.fact_of.pop(fact.terms, None) is None:
@@ -343,12 +328,6 @@ class ColumnarRelation:
             }
         rowid = self.rowid_of.pop(fact.terms)
         self.dead.add(rowid)
-        # A snapshot frontier drops the row by its tombstone.
-        if rowid < self.snapshot_upto or fact in self._delta:
-            self._delta.discard(fact)
-            # Frontier changed mid-round: every view is stale.
-            self.delta_indices.clear()
-        self.pending.discard(fact)
         if rowid < self.encoded_upto:
             # Encoded rows sit in every built index; a row past the
             # watermark joins none (see ``_encode_pending``).
@@ -377,15 +356,6 @@ class ColumnarRelation:
 
     def contains_fact(self, fact: Fact) -> bool:
         return fact.terms in self.fact_of
-
-    def clone(self) -> "ColumnarRelation":
-        twin = ColumnarRelation(self.arity)
-        live = list(self.iter_facts())
-        twin.insert(None, [fact.terms for fact in live], live)
-        twin.adds = 0
-        twin.delta = set(self.delta)
-        twin.pending = set(self.pending)
-        return twin
 
     def ensure_group(
         self, positions: Tuple[int, ...]
@@ -429,51 +399,34 @@ class ColumnarRelation:
             key for rowid, key in enumerate(keys) if rowid not in dead
         })
 
-    def delta_view(
-        self, positions: Tuple[int, ...]
-    ) -> Dict[Tuple[Term, ...], Set[Fact]]:
-        """Frontier-scoped composite view, identical to the dict
-        relation's (the frontier is a plain fact set either way)."""
-        index = self.delta_indices.get(positions)
-        if index is None:
-            index = {}
-            for fact in self.delta:
-                terms = fact.terms
-                key = tuple(terms[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is None:
-                    bucket = index[key] = set()
-                bucket.add(fact)
-            self.delta_indices[positions] = index
-            if _telemetry.enabled:
-                _telemetry.registry.counter(
-                    "store.delta_index_builds"
-                ).inc()
-        return index
-
     def prober(
         self, positions: Tuple[int, ...], delta_only: bool = False
     ) -> Callable[[Tuple[Term, ...]], Tuple[Fact, ...]]:
         """A ``key -> facts`` function for repeated probes on
         ``positions`` (the contract of :meth:`FactStore.probe`), with
-        the frontier view, encoding and group index resolved once
-        rather than per probe.  Valid while the relation is unchanged:
-        a batch plan step probes through one.  Misses on terms the
-        relation has never stored short-circuit without building an
-        index."""
+        the frontier, encoding and group index resolved once rather
+        than per probe.  Valid while the relation is unchanged: a batch
+        plan step probes through one.  Misses on terms the relation has
+        never stored short-circuit without building an index.
+
+        ``delta_only`` probes the frontier by filtering its rows on the
+        key, in rowid order.  A delta literal leads its plan, so its
+        key holds only constants and input-free assignments: one key
+        per prober, and no index is worth building for it."""
         if delta_only:
-            if not self.delta:
+            frontier = self.frontier()
+            if not frontier:
                 return _no_facts
             if not positions:
-                everything = tuple(self.delta)
-                return lambda key: everything
-            view = self.delta_view(positions)
+                return lambda key: frontier
 
-            def probe_delta(key):
-                bucket = view.get(key)
-                return tuple(bucket) if bucket else ()
+            def probe_frontier(key):
+                return tuple([
+                    fact for fact in frontier
+                    if tuple([fact.terms[p] for p in positions]) == key
+                ])
 
-            return probe_delta
+            return probe_frontier
         if not self.fact_of:
             return _no_facts
         if not positions:
@@ -532,10 +485,6 @@ class ColumnarRelation:
             len(bucket)
             for index in self.groups.values()
             for bucket in index.values()
-        ) + sum(
-            len(bucket)
-            for index in self.delta_indices.values()
-            for bucket in index.values()
         )
         column_bytes = self.column_bytes()
         # Real, not sampled: code columns + the rowid list's pointer
@@ -553,7 +502,7 @@ class ColumnarRelation:
         )
         return {
             "facts": len(self.fact_of),
-            "delta": len(self.delta),
+            "delta": len(self.frontier()),
             "estimated_bytes": estimated,
             "index_entries": index_entries,
             "backend": self.backend,

@@ -10,10 +10,10 @@ created with the predicate's first fact.  Each relation holds
   hash maps from a tuple of positions to the rows carrying a given term
   tuple there — so a compiled plan step with ``k`` bound positions
   does one hash probe,
-* a *delta* set of facts added since the last
-  :meth:`FactStore.advance_delta`, which drives semi-naive rule firing.
-  Delta-scoped index *views* are built lazily per frontier so
-  ``delta_only`` probes never re-check membership fact by fact.
+* the semi-naive frontier as a rowid range over the append-only rows:
+  the facts added before the last :meth:`FactStore.advance_delta` and
+  since the one before it, which drive semi-naive rule firing in rowid
+  (insertion) order.
 
 Aggregate predicates are additionally *functional*: the chase may
 replace a previously derived aggregate fact for a group with an updated
@@ -24,7 +24,7 @@ through :meth:`retract`.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, \
-    Optional, Sequence, Set, Tuple
+    Optional, Sequence, Tuple
 
 from ..telemetry import state as _telemetry
 from .atoms import Fact
@@ -59,6 +59,22 @@ class FactStore:
             self._relations[predicate] = relation
         return relation
 
+    def _arity(
+        self, predicate: str, tuples: Sequence[Tuple[Term, ...]]
+    ) -> int:
+        """The arity every one of ``tuples`` must have: the relation's,
+        or the first tuple's for a new predicate.  A fact of another
+        arity is refused before anything is stored."""
+        relation = self._relations.get(predicate)
+        arity = relation.arity if relation is not None else len(tuples[0])
+        for terms in tuples:
+            if len(terms) != arity:
+                raise ValueError(
+                    f"predicate {predicate!r} has arity {arity}; "
+                    f"cannot store a fact of arity {len(terms)}"
+                )
+        return arity
+
     def insert(
         self, predicate: str, tuples: Sequence[Tuple[Term, ...]]
     ) -> Tuple[List[int], List[Fact]]:
@@ -71,9 +87,8 @@ class FactStore:
         checks."""
         if not tuples:
             return [], []
-        return self._relation(predicate, len(tuples[0])).insert(
-            predicate, tuples
-        )
+        arity = self._arity(predicate, tuples)
+        return self._relation(predicate, arity).insert(predicate, tuples)
 
     def add(self, fact: Fact) -> bool:
         """Insert a fact; returns True when it is new.  The one-fact
@@ -81,13 +96,15 @@ class FactStore:
         ground."""
         if not fact.is_ground:
             raise ValueError(f"cannot store non-ground atom {fact}")
-        relation = self._relation(fact.predicate, len(fact.terms))
+        arity = self._arity(fact.predicate, (fact.terms,))
+        relation = self._relation(fact.predicate, arity)
         _, new = relation.insert(fact.predicate, (fact.terms,), (fact,))
         return bool(new)
 
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many facts; returns how many were new.  Every fact is
-        checked ground before any is stored."""
+        checked ground and of its predicate's arity before any is
+        stored."""
         grouped: Dict[str, Tuple[List[Tuple[Term, ...]], List[Fact]]] = {}
         for fact in facts:
             if not fact.is_ground:
@@ -97,6 +114,8 @@ class FactStore:
                 entry = grouped[fact.predicate] = ([], [])
             entry[0].append(fact.terms)
             entry[1].append(fact)
+        for predicate, (tuples, _) in grouped.items():
+            self._arity(predicate, tuples)
         added = 0
         for predicate, (tuples, group) in grouped.items():
             relation = self._relation(predicate, len(tuples[0]))
@@ -139,26 +158,22 @@ class FactStore:
         return relation is not None and relation.contains_fact(fact)
 
     def lookup(
-        self,
-        predicate: str,
-        bound: Dict[int, Term],
-        delta_only: bool = False,
+        self, predicate: str, bound: Dict[int, Term]
     ) -> Iterator[Fact]:
         """Iterate over facts of ``predicate`` matching the given
         position->term constraints with one exact (composite) hash
-        probe; ``delta_only`` probes a frontier-scoped index view."""
+        probe."""
         if not bound:
-            return iter(self.probe(predicate, (), (), delta_only))
+            return iter(self.probe(predicate, (), ()))
         positions = tuple(sorted(bound))
         key = tuple(bound[p] for p in positions)
-        return iter(self.probe(predicate, positions, key, delta_only))
+        return iter(self.probe(predicate, positions, key))
 
     def probe(
         self,
         predicate: str,
         positions: Tuple[int, ...],
         key: Tuple[Term, ...],
-        delta_only: bool = False,
     ) -> Tuple[Fact, ...]:
         """Facts of ``predicate`` whose terms at ``positions`` equal
         ``key`` — the compiled-plan probe primitive.  Every returned
@@ -167,7 +182,7 @@ class FactStore:
         relation = self._relations.get(predicate)
         if relation is None:
             return ()
-        return relation.prober(positions, delta_only)(key)
+        return relation.prober(positions)(key)
 
     def prober(
         self,
@@ -178,7 +193,8 @@ class FactStore:
         """A ``key -> facts`` function answering :meth:`probe` for many
         keys on one ``(predicate, positions)``, with the relation, its
         encoding and its index resolved once.  Valid while the store is
-        unchanged (a plan step's batch)."""
+        unchanged (a plan step's batch).  ``delta_only`` probes the
+        semi-naive frontier instead."""
         relation = self._relations.get(predicate)
         if relation is None:
             return lambda key: ()
@@ -204,24 +220,25 @@ class FactStore:
 
     # -- semi-naive bookkeeping --------------------------------------------
 
-    def delta(self, predicate: str) -> Set[Fact]:
+    def delta(self, predicate: str) -> Tuple[Fact, ...]:
+        """The frontier facts of ``predicate``, in rowid order."""
         relation = self._relations.get(predicate)
-        return relation.delta if relation else set()
+        return relation.frontier() if relation else ()
 
-    def has_delta(self) -> bool:
-        """True while there is a non-empty frontier for the next round."""
-        return any(r.delta for r in self._relations.values())
-
-    def has_pending(self) -> bool:
-        return any(r.pending for r in self._relations.values())
+    def has_delta(self, predicate: Optional[str] = None) -> bool:
+        """True while there is a non-empty frontier (of ``predicate``,
+        or of any predicate) for the next round."""
+        if predicate is not None:
+            relation = self._relations.get(predicate)
+            return relation is not None and relation.has_frontier()
+        return any(r.has_frontier() for r in self._relations.values())
 
     def advance_delta(self) -> None:
         """Promote facts added during the current round to be the next
         round's frontier."""
         for relation in self._relations.values():
-            relation.delta = relation.pending
-            relation.pending = set()
-            relation.delta_indices.clear()
+            relation.delta_lo = relation.delta_hi
+            relation.delta_hi = len(relation.rows)
 
     def reset_delta_to_all(self) -> None:
         """Mark every stored fact as 'new' — used when a stratum starts
@@ -254,7 +271,7 @@ class FactStore:
     def frontier_size(self) -> int:
         """Total facts in the current semi-naive frontier — the live
         delta the next round will drive from."""
-        return sum(len(r.delta) for r in self._relations.values())
+        return sum(len(r.frontier()) for r in self._relations.values())
 
     def memory_stats(self) -> Dict[str, Any]:
         """Per-predicate cardinality and bytes report.
@@ -262,8 +279,8 @@ class FactStore:
         Bytes are *real*: the code columns' buffer sizes plus the rowid
         list and the term dictionary, with ``column_bytes`` and
         always-on ``probes``/``probe_hits`` counters broken out.
-        ``index_entries`` counts bucket memberships (rowid buckets and
-        frontier views) — the index-side multiplier on fact count.
+        ``index_entries`` counts the rowid memberships of the group
+        indices — the index-side multiplier on fact count.
         """
         predicates: Dict[str, Any] = {}
         total_facts = 0
@@ -286,17 +303,6 @@ class FactStore:
         }
 
     # -- convenience --------------------------------------------------------
-
-    def copy(self) -> "FactStore":
-        """An independent clone that preserves the semi-naive frontier
-        state (``delta`` and ``pending``) fact for fact.  Indices are
-        not copied — they rebuild lazily on first probe.  A copy taken
-        mid-chase therefore resumes exactly where the original stood;
-        a copy of a fresh store is itself fresh."""
-        clone = FactStore()
-        for name, relation in self._relations.items():
-            clone._relations[name] = relation.clone()
-        return clone
 
     def __len__(self):
         return self.count()

@@ -40,12 +40,28 @@ class TestBasicStorage:
         store = FactStore([fact("p", 1), fact("q", 2)])
         assert {f.predicate for f in store} == {"p", "q"}
 
-    def test_copy_is_independent(self):
-        store = FactStore([fact("p", 1)])
-        clone = store.copy()
-        clone.add(fact("p", 2))
-        assert len(store) == 1
-        assert len(clone) == 2
+    def test_mixed_arity_add_rejected(self):
+        store = FactStore([fact("p", 1, 2)])
+        with pytest.raises(ValueError, match=r"'p' has arity 2.* arity 1"):
+            store.add(fact("p", 3))
+        with pytest.raises(ValueError, match=r"'p' has arity 2.* arity 1"):
+            store.add_all([fact("q", 1), fact("p", 3)])
+        with pytest.raises(ValueError, match=r"'p' has arity 2.* arity 1"):
+            store.insert("p", [fact("p", 3).terms])
+        with pytest.raises(ValueError, match=r"'r' has arity 1.* arity 2"):
+            store.insert("r", [fact("r", 1).terms, fact("r", 1, 2).terms])
+        # Nothing of a refused call is stored.
+        assert list(store.predicates()) == ["p"]
+        assert store.probe("p", (1,), (Constant(2),)) == (fact("p", 1, 2),)
+
+    def test_mixed_arity_program_rejected(self):
+        from repro.vadalog import Program
+
+        program = Program.parse(
+            "p(1,2). p(3). q(X) :- p(X,Y). r(X) :- p(X)."
+        )
+        with pytest.raises(ValueError, match=r"'p' has arity 2.* arity 1"):
+            program.run(preflight=False)
 
 
 class TestLookup:
@@ -83,13 +99,13 @@ class TestDeltas:
     def test_new_facts_become_next_delta(self):
         store = FactStore([fact("p", 1)])
         store.reset_delta_to_all()
-        assert store.delta("p") == {fact("p", 1)}
+        assert store.delta("p") == (fact("p", 1),)
         store.add(fact("p", 2))
         # Not yet in the frontier...
         assert fact("p", 2) not in store.delta("p")
         store.advance_delta()
         # ...now it is, alone.
-        assert store.delta("p") == {fact("p", 2)}
+        assert store.delta("p") == (fact("p", 2),)
 
     def test_has_delta_false_at_fixpoint(self):
         store = FactStore([fact("p", 1)])
@@ -103,8 +119,8 @@ class TestDeltas:
         store.advance_delta()
         store.add(fact("e", "a", 2))
         store.advance_delta()
-        hits = list(store.lookup("e", {0: Constant("a")}, delta_only=True))
-        assert hits == [fact("e", "a", 2)]
+        hits = store.prober("e", (0,), delta_only=True)((Constant("a"),))
+        assert hits == (fact("e", "a", 2),)
 
 
 class TestRetraction:
@@ -182,37 +198,36 @@ class TestCompositeIndices:
         store.retract(fact("t", "a", 1, "x"))
         assert set(store.probe("t", (0, 1), key)) == {fact("t", "a", 1, "y")}
 
+    def _frontier_probe(self, store, key):
+        return store.prober("t", (0, 1), delta_only=True)(key)
+
     def test_delta_view_tracks_frontier(self):
         store = self._triples()
         store.reset_delta_to_all()
         key = (Constant("a"), Constant(1))
-        assert len(store.probe("t", (0, 1), key, delta_only=True)) == 2
+        both = (fact("t", "a", 1, "x"), fact("t", "a", 1, "y"))
+        assert self._frontier_probe(store, key) == both
         store.add(fact("t", "a", 1, "z"))
         # Pending facts are not frontier facts until advance_delta.
-        assert len(store.probe("t", (0, 1), key, delta_only=True)) == 2
+        assert self._frontier_probe(store, key) == both
         store.advance_delta()
-        assert set(store.probe("t", (0, 1), key, delta_only=True)) == {
-            fact("t", "a", 1, "z")
-        }
+        assert self._frontier_probe(store, key) == (fact("t", "a", 1, "z"),)
 
     def test_delta_view_invalidated_by_mid_round_retract(self):
         store = self._triples()
         store.reset_delta_to_all()
         key = (Constant("a"), Constant(1))
-        assert len(store.probe("t", (0, 1), key, delta_only=True)) == 2
+        assert len(self._frontier_probe(store, key)) == 2
         # Functional-aggregate style retraction of a frontier fact.
         store.retract(fact("t", "a", 1, "x"))
-        assert set(store.probe("t", (0, 1), key, delta_only=True)) == {
-            fact("t", "a", 1, "y")
-        }
+        assert self._frontier_probe(store, key) == (fact("t", "a", 1, "y"),)
 
     def test_delta_only_empty_frontier(self):
         store = self._triples()  # never reset: frontier is empty
         store.advance_delta()
         store.advance_delta()
-        assert store.probe(
-            "t", (0, 1), (Constant("a"), Constant(1)), delta_only=True
-        ) == ()
+        key = (Constant("a"), Constant(1))
+        assert self._frontier_probe(store, key) == ()
 
     def test_index_build_and_probe_telemetry(self):
         import repro.telemetry as telemetry
@@ -226,43 +241,19 @@ class TestCompositeIndices:
             key = (Constant("a"), Constant(1))
             store.probe("t", (0, 1), key)
             store.probe("t", (0, 1), key)
-            store.probe("t", (0, 1), key, delta_only=True)
+            self._frontier_probe(store, key)
             # Probe and insert counts are always-on relation ints that
             # the chase publishes once per rule application.
             store.publish_counters()
             counters = telemetry.registry().counters("store.")
             assert counters.get("store.columnar.group_index_builds") == 1
-            assert counters.get("store.delta_index_builds") == 1
-            # Frontier probes go through the delta view, not the
-            # group index, and are not counted as index probes.
+            # Frontier probes scan the frontier's rows, not the group
+            # index, and are not counted as index probes.
             assert counters.get("store.columnar.probes") == 2
             assert counters.get("store.columnar.probe_hits") == 2
         finally:
             telemetry.disable()
             telemetry.reset()
-
-
-class TestCopyPreservesFrontier:
-    """Regression: copy() used to silently drop delta/pending state,
-    so a mid-chase clone would never fire another semi-naive round."""
-
-    def test_copy_preserves_delta_and_pending(self):
-        store = FactStore([fact("p", 1)])
-        store.reset_delta_to_all()   # p(1) is frontier
-        store.add(fact("p", 2))      # p(2) is pending
-        clone = store.copy()
-        assert clone.delta("p") == {fact("p", 1)}
-        assert clone.has_pending()
-        clone.advance_delta()
-        assert clone.delta("p") == {fact("p", 2)}
-        # The original is untouched by the clone's bookkeeping.
-        assert store.delta("p") == {fact("p", 1)}
-
-    def test_copy_of_fresh_store_is_fresh(self):
-        store = FactStore([fact("p", 1)])
-        clone = store.copy()
-        assert not clone.has_delta()
-        assert clone.has_pending() == store.has_pending()
 
 
 class TestRetractedGroupKeys:
@@ -312,9 +303,9 @@ class TestBulkInsert:
         assert list(store.facts("p")) == [
             fact("p", 3), fact("p", 1), fact("p", 2),
         ]
-        assert store.delta("p") == set()
+        assert store.delta("p") == ()
         store.advance_delta()
-        assert store.delta("p") == {fact("p", 1), fact("p", 2), fact("p", 3)}
+        assert store.delta("p") == (fact("p", 3), fact("p", 1), fact("p", 2))
 
     def test_add_is_the_one_fact_case(self):
         store = FactStore()
@@ -333,8 +324,8 @@ class TestBulkInsert:
 
 
 class TestLazyFrontierSnapshot:
-    """reset_delta_to_all makes the stored facts the frontier without
-    building the set until something reads it."""
+    """reset_delta_to_all makes the stored rows the frontier by moving
+    the range's bounds; nothing is built until a probe reads it."""
 
     def test_snapshot_excludes_later_adds_and_retractions(self):
         store = FactStore([fact("p", 1), fact("p", 2), fact("p", 3)])
@@ -342,15 +333,62 @@ class TestLazyFrontierSnapshot:
         store.reset_delta_to_all()
         store.add(fact("p", 4))
         store.retract(fact("p", 2))
-        assert store.delta("p") == {fact("p", 1), fact("p", 3)}
+        assert store.delta("p") == (fact("p", 1), fact("p", 3))
         assert store.frontier_size() == 2
         store.advance_delta()
-        assert store.delta("p") == {fact("p", 4)}
+        assert store.delta("p") == (fact("p", 4),)
 
     def test_retracted_then_readded_fact_is_pending(self):
         store = FactStore([fact("p", 1)])
         store.reset_delta_to_all()
         store.retract(fact("p", 1))
         store.add(fact("p", 1))
-        assert store.delta("p") == set()
-        assert store.has_pending()
+        assert store.delta("p") == ()
+        assert not store.has_delta()
+        store.advance_delta()
+        assert store.delta("p") == (fact("p", 1),)
+
+
+class TestFrontierRowidOrder:
+    """Frontier probes, keyless and keyed, answer in rowid (insertion)
+    order, so the chase's firing order never follows the hash seed."""
+
+    def _probes(self, store):
+        keyless = store.prober("r", (), delta_only=True)(())
+        keyed = store.prober("r", (1,), delta_only=True)((Constant("k"),))
+        return keyless, keyed
+
+    def test_rowid_order_through_retract_reinsert_and_reset(self):
+        values = [5, "b", 9, "a", 1, 7]
+        store = FactStore(fact("r", v, "k") for v in values)
+        store.add(fact("r", 0, "other"))
+        store.advance_delta()
+        keyed = tuple(fact("r", v, "k") for v in values)
+        assert self._probes(store) == (
+            keyed + (fact("r", 0, "other"),), keyed
+        )
+        # A mid-round retract drops its row and keeps the order.
+        assert store.retract(fact("r", 9, "k"))
+        keyed = tuple(fact("r", v, "k") for v in (5, "b", "a", 1, 7))
+        assert self._probes(store) == (
+            keyed + (fact("r", 0, "other"),), keyed
+        )
+        # Retract then re-insert: the fact takes a fresh rowid past the
+        # frontier, so it is pending, not frontier.
+        assert store.retract(fact("r", "b", "k"))
+        assert store.add(fact("r", "b", "k"))
+        keyed = tuple(fact("r", v, "k") for v in (5, "a", 1, 7))
+        assert self._probes(store) == (
+            keyed + (fact("r", 0, "other"),), keyed
+        )
+        store.advance_delta()
+        assert self._probes(store) == (
+            (fact("r", "b", "k"),), (fact("r", "b", "k"),)
+        )
+        # reset_delta_to_all: every live row, still in rowid order.
+        store.reset_delta_to_all()
+        keyed = tuple(fact("r", v, "k") for v in (5, "a", 1, 7, "b"))
+        assert self._probes(store) == (
+            (*keyed[:4], fact("r", 0, "other"), keyed[4]), keyed
+        )
+        assert store.delta("r") == self._probes(store)[0]

@@ -460,7 +460,20 @@ import json
 from repro.data import generate_dataset
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
+from repro.vadalog.terms import Constant
 from repro.vadalog_programs import SUDA, TUPLE_BUILD, cycle_registry
+
+
+def term(t):
+    # A set-valued term (a VSet) has no element order of its own.
+    if isinstance(t, Constant) and isinstance(t.value, frozenset):
+        return "{" + ", ".join(sorted(map(repr, t.value))) + "}"
+    return str(t)
+
+
+def atom(a):
+    return f"{a.predicate}({', '.join(map(term, a.terms))})"
+
 
 db = generate_dataset("R6A4U", seed=7, scale=600)
 facts = db.to_facts()
@@ -470,12 +483,12 @@ result = Program.parse(TUPLE_BUILD + SUDA).run(
     facts, externals=cycle_registry()[0]
 )
 derivations = "\\n".join(
-    f"{d.fact} <- {d.rule_label} {[str(p) for p in d.premises]}"
+    f"{atom(d.fact)} <- {d.rule_label} {[atom(p) for p in d.premises]}"
     for d in result.provenance.derivations()
 )
 print(json.dumps({
     "facts": hashlib.sha1(
-        "\\n".join(sorted(map(str, result.store.facts()))).encode()
+        "\\n".join(sorted(map(atom, result.store.facts()))).encode()
     ).hexdigest(),
     "derivations": hashlib.sha1(derivations.encode()).hexdigest(),
     "stats": {
@@ -491,12 +504,14 @@ class TestSudaGolden:
     input, null labels included, plus its derivations (premises and
     recording order).  Conformance compares only up to null
     isomorphism, so this is what catches a change in the order the
-    chase invents nulls.  Firing order follows set iteration order, so
-    the run pins ``PYTHONHASHSEED=0`` in a child process."""
+    chase invents nulls.  The frontier is read in rowid order, so the
+    chase's firing order does not follow the hash seed: one digest
+    holds under three ``PYTHONHASHSEED`` values, each run in a child
+    process."""
 
     EXPECTED = {
-        "facts": "fc714f1ebd21bda675439521e1f7faec8588e90d",
-        "derivations": "bb770073241e657708ff31c9156d11a005232cb7",
+        "facts": "714b383ea0983d3d33e8363abc9fc165a974b4b2",
+        "derivations": "3a850add9dc9dcdcaca75a319e8bc5094b3aa515",
         "stats": {"facts": 4401, "rounds": 24, "nulls_introduced": 704,
                   "derivations": 4314},
     }
@@ -510,13 +525,14 @@ class TestSudaGolden:
 
         import repro
 
-        env = dict(os.environ, PYTHONHASHSEED="0",
-                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        completed = subprocess.run(
-            [sys.executable, "-c", _SUDA_GOLDEN_SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert json.loads(completed.stdout) == self.EXPECTED
+        for seed in (0, 1, 2):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=str(Path(repro.__file__).parents[1]))
+            completed = subprocess.run(
+                [sys.executable, "-c", _SUDA_GOLDEN_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert json.loads(completed.stdout) == self.EXPECTED, seed
 
 
 #: Runs every program whose rules fire row by row (externals, a
@@ -652,23 +668,14 @@ class TestRowFiringGolden:
     is one digest over its facts with their null labels, derivations,
     rounds and per-rule firing and null counts.
 
-    The semi-naive frontier is a fact set, so the cycle's firing order
-    (and with it its null labels) follows the hash seed; those digests
-    are pinned per ``PYTHONHASHSEED``, the others hold under all
-    three."""
+    The semi-naive frontier is a rowid range read in insertion order,
+    so every digest, the cycle's null labels included, holds under all
+    three ``PYTHONHASHSEED`` values."""
 
     EXPECTED = {
         "categorization": "171d7aba44f4108913815797bce87bdcdb2a663b",
-        "cycle-maybe-match": {
-            0: "fb0dd67dd21ad934742caac739a0db984917279f",
-            1: "5b40127f6bce1b5b6a5957c419f66683411d1302",
-            2: "0448593496ecb6ab2f815ce6911c8e0e4c476f5e",
-        },
-        "cycle-standard": {
-            0: "a2fc92fe22657cec904b2a0a45918940ebbc209c",
-            1: "4d63eb6d2f6d1e91a1cf54d93f845e69074d8f7e",
-            2: "c6099ed317bc7728b351e939ae5ff24b064a001a",
-        },
+        "cycle-maybe-match": "ade63469550746977c861d752238717f4ca2eb33",
+        "cycle-standard": "69e561c9c0364636b5982f77921d3c5a94412e8d",
         "global-recoding": "68955387f66ce334a934df8c7ac1916c2d2fab8d",
         "isomorphic": "80568aa6368da9647feb62e078b31a1a02e60115",
         "less-significant-first":
@@ -693,8 +700,4 @@ class TestRowFiringGolden:
             [sys.executable, "-c", _ROW_FIRING_GOLDEN_SCRIPT],
             env=env, capture_output=True, text=True, check=True,
         )
-        expected = {
-            name: digest[seed] if isinstance(digest, dict) else digest
-            for name, digest in self.EXPECTED.items()
-        }
-        assert json.loads(completed.stdout) == expected
+        assert json.loads(completed.stdout) == self.EXPECTED
