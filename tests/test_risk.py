@@ -19,10 +19,14 @@ from repro.model import (
 )
 from repro.risk import (
     RISK_REGISTRY,
+    DifferentialRisk,
     IndividualRisk,
     KAnonymityRisk,
+    LDiversityRisk,
     ReidentificationRisk,
+    RiskReport,
     SudaRisk,
+    TClosenessRisk,
     combined_cluster_risk,
     find_minimal_sample_uniques,
     measure_by_name,
@@ -462,3 +466,107 @@ class TestClusterRisk:
         base = KAnonymityRisk(k=2).assess(cities_db)
         lifted = propagate_over_clusters(base, [{2}])
         assert lifted.scores == base.scores
+
+
+class TestDetailPins:
+    """The exact per-row detail strings of every measure on the Figure
+    5a fragment, as is and with row 0's Sector suppressed (so its
+    group maybe-matches the other Roma rows), and on the Figure 1
+    fragment's decimal weights."""
+
+    @pytest.fixture
+    def suppressed_cities(self, cities_db):
+        cities_db.with_value(0, "Sector", NullFactory().fresh())
+        return cities_db
+
+    def test_reidentification(self, suppressed_cities, ig_db):
+        assert ReidentificationRisk().assess(ig_db).details == [
+            f"group weight sum {weight:g} over 1 matching tuple(s)"
+            for weight in ig_db.weights()
+        ]
+        assert ReidentificationRisk().assess(suppressed_cities).details == (
+            ["group weight sum 5 over 5 matching tuple(s)"]
+            + ["group weight sum 3 over 3 matching tuple(s)"] * 4
+            + ["group weight sum 1 over 1 matching tuple(s)"] * 2
+        )
+
+    def test_individual_simple(self, suppressed_cities, ig_db):
+        assert IndividualRisk().assess(ig_db).details == [
+            f"f=1, sum(W)={weight:g}, mode=simple"
+            for weight in ig_db.weights()
+        ]
+        assert IndividualRisk().assess(suppressed_cities).details == (
+            ["f=5, sum(W)=5, mode=simple"]
+            + ["f=3, sum(W)=3, mode=simple"] * 4
+            + ["f=1, sum(W)=1, mode=simple"] * 2
+        )
+
+    def test_differential(self, cities_db):
+        assert DifferentialRisk(epsilon=0.5).assess(cities_db).details == (
+            ["frequency 1, epsilon=0.5"]
+            + ["frequency 2, epsilon=0.5"] * 4
+            + ["frequency 1, epsilon=0.5"] * 2
+        )
+
+    def test_l_diversity(self, suppressed_cities):
+        report = LDiversityRisk(sensitive="Sector", l=3).assess(
+            suppressed_cities,
+            attributes=["Area", "Employees", "Residential Revenue"],
+        )
+        assert report.details == (
+            ["3 distinct 'Sector' value(s) in group vs l=3"] * 5
+            + ["1 distinct 'Sector' value(s) in group vs l=3"] * 2
+        )
+
+    def test_t_closeness(self, suppressed_cities):
+        report = TClosenessRisk(sensitive="Sector", t=0.3).assess(
+            suppressed_cities,
+            attributes=["Area", "Employees", "Residential Revenue"],
+        )
+        assert report.details == (
+            ["group-vs-global TV 0.2857 vs t=0.3"] * 5
+            + ["group-vs-global TV 0.7143 vs t=0.3"] * 2
+        )
+
+    def test_clusters(self, suppressed_cities):
+        base = DifferentialRisk().assess(suppressed_cities)
+        lifted = propagate_over_clusters(base, [{0, 1}, {5, 6}])
+        assert lifted.details == [
+            "cluster of 2 linked entities: combined risk 0.453428 "
+            "(own 0.135335)",
+            "cluster of 2 linked entities: combined risk 0.453428 "
+            "(own 0.367879)",
+            "frequency 3, epsilon=0.5",
+            "frequency 3, epsilon=0.5",
+            "frequency 3, epsilon=0.5",
+            "cluster of 2 linked entities: combined risk 1 (own 1)",
+            "cluster of 2 linked entities: combined risk 1 (own 1)",
+        ]
+
+    def test_clusters_over_a_report_without_details(self, cities_db):
+        base = RiskReport("plain", [0.5] * 7, cities_db.quasi_identifiers)
+        lifted = propagate_over_clusters(base, [{0, 1}])
+        assert lifted.details == (
+            ["cluster of 2 linked entities: combined risk 0.75 "
+             "(own 0.5)"] * 2
+            + [""] * 5
+        )
+        assert lifted.explain(2).endswith("'Residential Revenue']")
+
+    def test_suda(self, cities_db, ig_db):
+        assert SudaRisk(k=3).assess(cities_db).details == (
+            ["1 MSU(s), sizes [1], k=3"]
+            + ["no MSU up to size 3"] * 4
+            + ["1 MSU(s), sizes [1], k=3"] * 2
+        )
+        details = SudaRisk(k=3).assess(ig_db).details
+        assert details[0] == "2 MSU(s), sizes [2, 3], k=3"
+        assert details[14] == "7 MSU(s), sizes [2, 2, 2, 2, 2, 2, 3], k=3"
+        assert details[19] == "4 MSU(s), sizes [1, 2, 2, 2], k=3"
+
+    def test_verdict_and_explain_carry_the_detail(self, cities_db):
+        report = KAnonymityRisk(k=3).assess(cities_db)
+        assert report.details[0] == "frequency 1 vs k=3 (sample unique)"
+        assert report.details[1] == "frequency 2 vs k=3"
+        assert report.verdict(0, 0.5).detail == report.details[0]
+        assert report.explain(1).endswith(" — frequency 2 vs k=3")
