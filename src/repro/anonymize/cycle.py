@@ -23,9 +23,10 @@ counts minimal (Fig. 7a).  Measures that cannot be rechecked from group
 statistics alone (SUDA) simply skip the recheck.  The same index gives
 the QI heuristic its leave-one-out counts at the start of each pass,
 and every assessment goes through :meth:`RiskMeasure.assess_index` over
-it: k-anonymity reads each row's current count from the index instead
-of regrouping the table, while measures that sum weights or have no
-group form (SUDA) assess the DB afresh.
+it: unweighted group measures (k-anonymity, the differential measure)
+read each row's current count from the index instead of regrouping the
+table, while measures that sum weights or have no group form (SUDA)
+assess the DB afresh.
 
 Every applied step carries the full motivation (the body binding of
 Rule 2: tuple id, risk score, group evidence) in the result's trace —
@@ -247,11 +248,15 @@ class AnonymizationCycle:
                     )
                 converged = True
                 break
-            actionable = [
-                index
+            # row -> the attributes its step may act on; a step edits
+            # only its own row, so they hold for the whole pass.
+            actionable = {
+                index: applicable
                 for index in risky
-                if self.method.applicable_attributes(working, index)
-            ]
+                if (applicable := self.method.applicable_attributes(
+                    working, index
+                ))
+            }
             if not actionable:
                 # Risky tuples remain but nothing can be transformed.
                 if telemetry.state.enabled:
@@ -260,7 +265,7 @@ class AnonymizationCycle:
                         0, 0, 0,
                     )
                 break
-            ordered = self.tuple_ordering(working, actionable, report)
+            ordered = self.tuple_ordering(working, list(actionable), report)
             self.qi_selection.prepare(tracker.index, ordered)
             acted = 0
             suppressed_now = 0
@@ -310,10 +315,9 @@ class AnonymizationCycle:
                                 ),
                             )
                         continue  # an earlier step already fixed it
-                applicable = self.method.applicable_attributes(working, row)
-                if not applicable:
-                    continue
-                attribute = self.qi_selection.select(working, row, applicable)
+                attribute = self.qi_selection.select(
+                    working, row, actionable[row]
+                )
                 qi_values_before = (
                     [str(v) for v in working.qi_values(row, attributes)]
                     if observing else None

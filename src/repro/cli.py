@@ -295,6 +295,7 @@ def _command_report(args) -> int:
 
 def _command_engine(args) -> int:
     from .vadalog import Program
+    from .vadalog.terms import value_text
 
     with open(args.program, encoding="utf-8") as handle:
         source = handle.read()
@@ -323,8 +324,10 @@ def _command_engine(args) -> int:
         p for p in result.store.predicates() if p not in inputs
     )
     for predicate in predicates:
-        for row in sorted(result.tuples(predicate), key=str):
-            rendered = ", ".join(str(value) for value in row)
+        for rendered in sorted(
+            ", ".join(map(value_text, row))
+            for row in result.tuples(predicate)
+        ):
             print(f"{predicate}({rendered})")
     if result.egd_violations:
         print(f"{len(result.egd_violations)} EGD violation(s):",

@@ -6,6 +6,7 @@ plug-in switch behind the polymorphic ``#risk`` atom of Algorithm 2.
 
 from .base import (
     RISK_REGISTRY,
+    GroupRiskMeasure,
     RiskMeasure,
     RiskReport,
     RiskVerdict,
@@ -26,6 +27,7 @@ __all__ = [
     "RISK_REGISTRY",
     "DifferentialRisk",
     "FileRisk",
+    "GroupRiskMeasure",
     "file_risk",
     "release_gate",
     "IndividualRisk",

@@ -14,7 +14,7 @@ safe from risky.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 from ..errors import ReproError
 from ..model.microdata import MicrodataDB
@@ -87,21 +87,34 @@ class RiskVerdict:
 
 
 class RiskReport:
-    """Per-row risk scores plus the context needed to explain them."""
+    """Per-row risk scores plus the context needed to explain them.
+
+    ``detail`` maps a row to the measure's evidence for its score.  It
+    is called only for the rows that are explained (:meth:`explain`,
+    :meth:`verdict`), so a measure hands over a function of the
+    per-row state it already holds instead of formatting every row.
+    """
 
     def __init__(
         self,
         measure: str,
         scores: Sequence[float],
         attributes: Sequence[str],
-        details: Optional[Sequence[str]] = None,
+        detail: Optional[Callable[[int], str]] = None,
         parameters: Optional[Dict] = None,
     ):
         self.measure = measure
         self.scores: List[float] = list(scores)
         self.attributes = list(attributes)
-        self.details = list(details) if details is not None else None
+        self.detail = detail
         self.parameters = dict(parameters or {})
+
+    @property
+    def details(self) -> Optional[List[str]]:
+        """Every row's detail, formatted now (None without ``detail``)."""
+        if self.detail is None:
+            return None
+        return list(map(self.detail, range(len(self.scores))))
 
     def risky_indices(self, threshold: float) -> List[int]:
         """Rows whose score exceeds the threshold T of Algorithm 2."""
@@ -126,9 +139,7 @@ class RiskReport:
             index,
             self.scores[index],
             threshold,
-            detail=(
-                self.details[index] if self.details is not None else None
-            ),
+            detail=self.detail(index) if self.detail is not None else None,
             parameters=self.parameters,
         )
 
@@ -145,8 +156,9 @@ class RiskReport:
             f"row {index}: {self.measure} risk = {self.scores[index]:.6g} "
             f"over QIs {self.attributes}"
         )
-        if self.details is not None and self.details[index]:
-            base += f" — {self.details[index]}"
+        detail = self.detail(index) if self.detail is not None else None
+        if detail:
+            base += f" — {detail}"
         return base
 
     def __len__(self):
@@ -247,6 +259,64 @@ class RiskMeasure:
                 f"unknown risk attributes {unknown} for {db.name!r}"
             )
         return list(attributes)
+
+
+class GroupRiskMeasure(RiskMeasure):
+    """A measure that scores a tuple from its =⊥-group alone: the
+    group's count and, when :attr:`weighted`, its Σ W.
+
+    A subclass defines :meth:`score`, :meth:`describe`,
+    :meth:`parameters` and :attr:`weighted`; the assessment, the
+    live-index assessment and the cycle's recheck all follow from them.
+    """
+
+    #: Does :meth:`score` read the group's weight sum?
+    weighted = False
+
+    def score(self, count: int, weight_sum: float) -> float:
+        """The risk of a tuple whose group has ``count`` members and
+        weight sum ``weight_sum`` (0.0 when not :attr:`weighted`)."""
+        raise NotImplementedError
+
+    def describe(self, count: int, weight_sum: float) -> str:
+        """The evidence for :meth:`score`, as a report's row detail."""
+        raise NotImplementedError
+
+    def parameters(self) -> Dict[str, Any]:
+        """The report parameters besides the semantics."""
+        return {}
+
+    def assess(self, db, semantics=MAYBE_MATCH, attributes=None):
+        attributes = self._resolve_attributes(db, attributes)
+        counts, weight_sums = semantics.match_aggregate(
+            db, attributes, values=db.weights() if self.weighted else None
+        )
+        return self._report(counts, weight_sums, attributes, semantics)
+
+    def assess_index(self, db, index, semantics=MAYBE_MATCH, attributes=None):
+        """An unweighted measure reads the index's current counts.  A
+        weighted one assesses afresh: a live index's weight sums are
+        not bit-equal to a fresh left-to-right sum."""
+        if self.weighted:
+            return super().assess_index(db, index, semantics, attributes)
+        attributes = self._check_index(db, index, semantics, attributes)
+        counts = index.counts()
+        return self._report(
+            counts, [0.0] * len(counts), attributes, semantics
+        )
+
+    def safe_from_group(self, count, weight_sum, threshold):
+        return self.score(count, weight_sum) <= threshold
+
+    def _report(self, counts, weight_sums, attributes, semantics):
+        describe = self.describe
+        return RiskReport(
+            self.name,
+            list(map(self.score, counts, weight_sums)),
+            attributes,
+            detail=lambda row: describe(counts[row], weight_sums[row]),
+            parameters={**self.parameters(), "semantics": semantics.name},
+        )
 
 
 #: name -> measure class

@@ -14,7 +14,7 @@ link source) into the enhanced per-row risk used by Algorithm 9.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, Sequence, Set
 
 from ..errors import ReproError
 from .base import RiskReport
@@ -55,11 +55,7 @@ def propagate_over_clusters(
             assigned[index] = cluster_id
 
     scores = list(report.scores)
-    details: List[str] = (
-        list(report.details)
-        if report.details is not None
-        else [""] * n
-    )
+    notes: Dict[int, str] = {}
     for cluster_id, members in enumerate(clusters):
         if len(members) < 2:
             continue
@@ -68,16 +64,21 @@ def propagate_over_clusters(
         )
         for index in members:
             scores[index] = combined
-            details[index] = (
+            notes[index] = (
                 f"cluster of {len(members)} linked entities: combined "
                 f"risk {combined:.6g} (own {report.scores[index]:.6g})"
             )
+    base = report.detail
+
+    def detail(row: int) -> str:
+        return notes.get(row) or (base(row) if base is not None else "")
+
     parameters = dict(report.parameters)
     parameters["clusters"] = len(clusters)
     return RiskReport(
         f"{report.measure}+clusters",
         scores,
         report.attributes,
-        details=details,
+        detail=detail,
         parameters=parameters,
     )

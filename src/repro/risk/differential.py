@@ -25,12 +25,9 @@ is smooth, so thresholds translate directly into minimum group sizes:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB
-from ..model.nulls import MAYBE_MATCH, NullSemantics
-from .base import RiskMeasure, RiskReport, register_measure
+from .base import GroupRiskMeasure, register_measure
 
 
 def minimum_safe_frequency(epsilon: float, threshold: float) -> int:
@@ -43,7 +40,7 @@ def minimum_safe_frequency(epsilon: float, threshold: float) -> int:
 
 
 @register_measure
-class DifferentialRisk(RiskMeasure):
+class DifferentialRisk(GroupRiskMeasure):
     """Smooth, DP-style presence-indistinguishability risk."""
 
     name = "differential"
@@ -53,33 +50,11 @@ class DifferentialRisk(RiskMeasure):
             raise ReproError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = float(epsilon)
 
-    def assess(
-        self,
-        db: MicrodataDB,
-        semantics: NullSemantics = MAYBE_MATCH,
-        attributes: Optional[Sequence[str]] = None,
-    ) -> RiskReport:
-        attributes = self._resolve_attributes(db, attributes)
-        counts = semantics.match_counts(db, attributes)
-        scores = [
-            math.exp(-self.epsilon * max(0, count - 1))
-            for count in counts
-        ]
-        details = [
-            f"frequency {count}, epsilon={self.epsilon}"
-            for count in counts
-        ]
-        return RiskReport(
-            self.name,
-            scores,
-            attributes,
-            details=details,
-            parameters={
-                "epsilon": self.epsilon,
-                "semantics": semantics.name,
-            },
-        )
+    def score(self, count, weight_sum):
+        return math.exp(-self.epsilon * max(0, count - 1))
 
-    def safe_from_group(self, count, weight_sum, threshold):
-        """Group frequency fully determines the score."""
-        return math.exp(-self.epsilon * max(0, count - 1)) <= threshold
+    def describe(self, count, weight_sum):
+        return f"frequency {count}, epsilon={self.epsilon}"
+
+    def parameters(self):
+        return {"epsilon": self.epsilon}

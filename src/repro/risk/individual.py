@@ -105,7 +105,6 @@ class IndividualRisk(RiskMeasure):
             db, attributes, values=db.weights()
         )
         scores = []
-        details = []
         cache = {}
         rng = np.random.default_rng(self.seed)
         for index in range(len(db)):
@@ -117,14 +116,17 @@ class IndividualRisk(RiskMeasure):
                 score = self._estimate(f, weight_sum, rng)
                 cache[key] = score
             scores.append(score)
-            details.append(
-                f"f={f}, sum(W)={weight_sum:.6g}, mode={self.mode}"
-            )
+
+        def detail(row: int) -> str:
+            f = max(1, counts[row])
+            weight_sum = max(weight_sums[row], float(f))
+            return f"f={f}, sum(W)={weight_sum:.6g}, mode={self.mode}"
+
         return RiskReport(
             self.name,
             scores,
             attributes,
-            details=details,
+            detail=detail,
             parameters={"mode": self.mode, "semantics": semantics.name},
         )
 

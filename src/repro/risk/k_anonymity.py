@@ -10,16 +10,16 @@ to frequency 5.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import ReproError
 from ..model.microdata import MicrodataDB
-from ..model.nulls import MAYBE_MATCH, GroupIndex, NullSemantics
-from .base import RiskMeasure, RiskReport, register_measure
+from ..model.nulls import MAYBE_MATCH, NullSemantics
+from .base import GroupRiskMeasure, register_measure
 
 
 @register_measure
-class KAnonymityRisk(RiskMeasure):
+class KAnonymityRisk(GroupRiskMeasure):
     """Thresholded frequency risk: 1 when |group| < k, else 0."""
 
     name = "k-anonymity"
@@ -29,52 +29,16 @@ class KAnonymityRisk(RiskMeasure):
             raise ReproError(f"k must be positive, got {k}")
         self.k = int(k)
 
-    def assess(
-        self,
-        db: MicrodataDB,
-        semantics: NullSemantics = MAYBE_MATCH,
-        attributes: Optional[Sequence[str]] = None,
-    ) -> RiskReport:
-        attributes = self._resolve_attributes(db, attributes)
-        return self._report(
-            semantics.match_counts(db, attributes), attributes, semantics
+    def score(self, count, weight_sum):
+        return 1.0 if count < self.k else 0.0
+
+    def describe(self, count, weight_sum):
+        return f"frequency {count} vs k={self.k}" + (
+            " (sample unique)" if count == 1 else ""
         )
 
-    def assess_index(
-        self,
-        db: MicrodataDB,
-        index: GroupIndex,
-        semantics: NullSemantics = MAYBE_MATCH,
-        attributes: Optional[Sequence[str]] = None,
-    ) -> RiskReport:
-        """The report from the index's current counts, without
-        regrouping the table."""
-        attributes = self._check_index(db, index, semantics, attributes)
-        return self._report(index.counts(), attributes, semantics)
-
-    def _report(
-        self,
-        counts: List[int],
-        attributes: List[str],
-        semantics: NullSemantics,
-    ) -> RiskReport:
-        scores = [1.0 if count < self.k else 0.0 for count in counts]
-        details = [
-            f"frequency {count} vs k={self.k}"
-            + (" (sample unique)" if count == 1 else "")
-            for count in counts
-        ]
-        return RiskReport(
-            self.name,
-            scores,
-            attributes,
-            details=details,
-            parameters={"k": self.k, "semantics": semantics.name},
-        )
-
-    def safe_from_group(self, count, weight_sum, threshold):
-        """A tuple is safe exactly when its group reaches k members."""
-        return count >= self.k
+    def parameters(self):
+        return {"k": self.k}
 
     def frequencies(
         self,

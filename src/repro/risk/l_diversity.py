@@ -78,16 +78,14 @@ class LDiversityRisk(RiskMeasure):
             1.0 if diversity < self.l else 0.0
             for diversity in diversities
         ]
-        details = [
-            f"{diversity} distinct {self.sensitive!r} value(s) in "
-            f"group vs l={self.l}"
-            for diversity in diversities
-        ]
         return RiskReport(
             self.name,
             scores,
             attributes,
-            details=details,
+            detail=lambda row: (
+                f"{diversities[row]} distinct {self.sensitive!r} value(s) "
+                f"in group vs l={self.l}"
+            ),
             parameters={
                 "l": self.l,
                 "sensitive": self.sensitive,

@@ -10,52 +10,25 @@ Figure 1 and 1/300 ≈ 0.003 for tuple 7.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..model.microdata import MicrodataDB
-from ..model.nulls import MAYBE_MATCH, NullSemantics
-from .base import RiskMeasure, RiskReport, register_measure
+from .base import GroupRiskMeasure, register_measure
 
 
 @register_measure
-class ReidentificationRisk(RiskMeasure):
+class ReidentificationRisk(GroupRiskMeasure):
     """ρ = 1 / λ(σ_q̂ M) with λ = Σ W (Equation 1 instantiated)."""
 
     name = "reidentification"
+    weighted = True
 
     def __init__(self, minimum_weight: float = 1e-9):
         #: Guard against zero/negative weights producing infinite risk.
         self.minimum_weight = minimum_weight
 
-    def safe_from_group(self, count, weight_sum, threshold):
-        """Safe when 1 / Σ W is within the threshold."""
-        denominator = max(weight_sum, self.minimum_weight)
-        return (1.0 / denominator) <= threshold
+    def score(self, count, weight_sum):
+        return min(1.0, 1.0 / max(weight_sum, self.minimum_weight))
 
-    def assess(
-        self,
-        db: MicrodataDB,
-        semantics: NullSemantics = MAYBE_MATCH,
-        attributes: Optional[Sequence[str]] = None,
-    ) -> RiskReport:
-        attributes = self._resolve_attributes(db, attributes)
-        counts, weight_sums = semantics.match_aggregate(
-            db, attributes, values=db.weights()
-        )
-        scores = []
-        details = []
-        for index in range(len(db)):
-            denominator = max(weight_sums[index], self.minimum_weight)
-            score = min(1.0, 1.0 / denominator)
-            scores.append(score)
-            details.append(
-                f"group weight sum {weight_sums[index]:.6g} over "
-                f"{counts[index]} matching tuple(s)"
-            )
-        return RiskReport(
-            self.name,
-            scores,
-            attributes,
-            details=details,
-            parameters={"semantics": semantics.name},
+    def describe(self, count, weight_sum):
+        return (
+            f"group weight sum {weight_sum:.6g} over {count} matching "
+            "tuple(s)"
         )

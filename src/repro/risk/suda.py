@@ -247,24 +247,31 @@ class SudaRisk(RiskMeasure):
         msus = find_minimal_sample_uniques(
             db, attributes, max_size=max_size, semantics=semantics
         )
-        scores = []
-        details = []
-        for index in range(len(db)):
-            row_msus = msus.get(index, [])
-            dangerous = any(len(s) < self.k for s in row_msus)
-            scores.append(1.0 if dangerous else 0.0)
-            if row_msus:
-                sizes = sorted(len(s) for s in row_msus)
-                details.append(
-                    f"{len(row_msus)} MSU(s), sizes {sizes}, k={self.k}"
+        # Each row's sorted MSU sizes, one shared tuple per pattern, so
+        # the report's detail does not keep the MSU map alive.
+        k = self.k
+        scores = [0.0] * len(db)
+        sizes: List[Tuple[int, ...]] = [()] * len(db)
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for index, row_msus in msus.items():
+            row_sizes = tuple(sorted(map(len, row_msus)))
+            sizes[index] = row_sizes = shared.setdefault(row_sizes, row_sizes)
+            scores[index] = 1.0 if row_sizes[0] < k else 0.0
+
+        def detail(row: int) -> str:
+            row_sizes = sizes[row]
+            if row_sizes:
+                return (
+                    f"{len(row_sizes)} MSU(s), sizes {list(row_sizes)}, "
+                    f"k={k}"
                 )
-            else:
-                details.append(f"no MSU up to size {max_size}")
+            return f"no MSU up to size {max_size}"
+
         return RiskReport(
             self.name,
             scores,
             attributes,
-            details=details,
+            detail=detail,
             parameters={
                 "k": self.k,
                 "max_msu_size": max_size,

@@ -91,15 +91,13 @@ class TClosenessRisk(RiskMeasure):
         scores = [
             1.0 if distance > self.t else 0.0 for distance in distances
         ]
-        details = [
-            f"group-vs-global TV {distance:.4f} vs t={self.t}"
-            for distance in distances
-        ]
         return RiskReport(
             self.name,
             scores,
             attributes,
-            details=details,
+            detail=lambda row: (
+                f"group-vs-global TV {distances[row]:.4f} vs t={self.t}"
+            ),
             parameters={
                 "t": self.t,
                 "sensitive": self.sensitive,

@@ -61,14 +61,6 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, Iterable, Iterator, List, \
     Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover — exercised via HAVE_NUMPY branches
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover — numpy is in the base image
-    _np = None
-    HAVE_NUMPY = False
-
 from ..telemetry import state as _telemetry
 from .atoms import Fact
 from .plans import AssignStep, FilterStep, JoinPlan, NegationStep, ScanStep
@@ -113,12 +105,6 @@ def _no_facts(key) -> Tuple[Fact, ...]:
 
 def _new_column():
     return array("q")
-
-
-def _column_nbytes(column) -> int:
-    if HAVE_NUMPY and isinstance(column, _np.ndarray):  # pragma: no cover
-        return int(column.nbytes)
-    return column.itemsize * len(column)
 
 
 class ColumnarRelation:
@@ -478,7 +464,7 @@ class ColumnarRelation:
         """Real bytes held by the code columns.  Forces the encode
         pass so the figure covers every stored row."""
         self._encode_pending(all_columns=True)
-        return sum(_column_nbytes(column) for column in self.columns)
+        return sum(column.itemsize * len(column) for column in self.columns)
 
     def memory_info(self) -> Dict[str, Any]:
         index_entries = sum(

@@ -78,7 +78,19 @@ class Constant(Term):
     def __str__(self):
         if isinstance(self.value, str):
             return f'"{self.value}"'
-        return str(self.value)
+        return value_text(self.value)
+
+
+def value_text(value: Any) -> str:
+    """``str(value)``, except that a set prints its elements sorted by
+    their text, so the same set prints the same under any hash seed."""
+    if not isinstance(value, frozenset) or not value:
+        return str(value)
+    return "frozenset({%s})" % ", ".join(sorted(
+        value_text(element) if isinstance(element, frozenset)
+        else repr(element)
+        for element in value
+    ))
 
 
 class Variable(Term):

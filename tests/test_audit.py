@@ -75,7 +75,7 @@ class TestRiskVerdict:
 
     def test_report_verdicts(self):
         report = RiskReport("k-anonymity", [0.0, 1.0], ["Age"],
-                            details=["safe", "unique"])
+                            detail=["safe", "unique"].__getitem__)
         verdicts = report.verdicts(0.5)
         assert [v.risky for v in verdicts] == [False, True]
         assert verdicts[1].detail == "unique"

@@ -14,7 +14,7 @@ from repro.anonymize import (
 from repro.categorize import AttributeCategorizer
 from repro.errors import ReproError
 from repro.model import AttributeCategory, ExperienceBase, MAYBE_MATCH
-from repro.risk import RiskMeasure, RiskReport
+from repro.risk import GroupRiskMeasure, RiskMeasure, RiskReport
 from repro.vadalog import Program, register_scalar_function
 
 
@@ -71,6 +71,49 @@ class TestCustomMeasure:
             @register_measure
             class Clash(RiskMeasure):
                 name = "k-anonymity"
+
+
+class GroupShareRisk(GroupRiskMeasure):
+    """The docs group-measure example: risk 1/f."""
+
+    name = "group-share-test"
+
+    def __init__(self, floor=1):
+        self.floor = floor
+
+    def score(self, count, weight_sum):
+        return 1.0 / max(count, self.floor)
+
+    def describe(self, count, weight_sum):
+        return f"{count} tuple(s) in the group"
+
+    def parameters(self):
+        return {"floor": self.floor}
+
+
+class TestCustomGroupMeasure:
+    def test_assess_index_and_recheck_follow_the_score(self, cities_db):
+        from repro.model import GroupIndex
+
+        measure = GroupShareRisk()
+        report = measure.assess(cities_db)
+        assert report.scores == [1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
+        assert report.details[1] == "2 tuple(s) in the group"
+        assert report.parameters == {
+            "floor": 1, "semantics": MAYBE_MATCH.name,
+        }
+        live = measure.assess_index(cities_db, GroupIndex(cities_db))
+        assert live.scores == report.scores
+        assert live.details == report.details
+        assert measure.safe_from_group(2, 0.0, 0.5)
+        assert not measure.safe_from_group(1, 0.0, 0.5)
+
+    def test_runs_in_cycle(self, cities_db):
+        result = anonymize(
+            cities_db, GroupShareRisk(), LocalSuppression(), threshold=0.6
+        )
+        assert result.converged
+        assert result.final_report.risky_indices(0.6) == []
 
 
 class TopCoding(AnonymizationMethod):

@@ -167,6 +167,36 @@ class TestCli:
         output = capsys.readouterr().out
         assert 'path(a, c)' in output
 
+    def test_engine_set_output_is_seed_independent(self, tmp_path):
+        """A set-valued result prints the same under any hash seed:
+        the program runs in child processes under seeds 0 and 1."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        program = tmp_path / "munion.vada"
+        program.write_text(
+            '@output("s").\n'
+            'p(1, "alpha"). p(1, "beta"). p(1, "gamma"). p(1, "delta").\n'
+            "s(X, S) :- p(X, Y), S = munion(Y, <Y>).\n"
+        )
+        outputs = []
+        for seed in (0, 1):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=str(Path(repro.__file__).parents[1]))
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "engine", str(program)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == (
+            "s(1, frozenset({'alpha', 'beta', 'delta', 'gamma'}))\n"
+        )
+
     def test_engine_warded_check_fails_unwarded(self, tmp_path, capsys):
         program = tmp_path / "bad.vada"
         program.write_text(

@@ -20,7 +20,13 @@ from repro.model import (
     survey_schema,
 )
 from repro.model.nulls import null_masks
-from repro.risk import KAnonymityRisk, group_closeness, sensitive_diversity
+from repro.risk import (
+    DifferentialRisk,
+    KAnonymityRisk,
+    ReidentificationRisk,
+    group_closeness,
+    sensitive_diversity,
+)
 from repro.vadalog.terms import LabelledNull, NullFactory
 
 
@@ -398,7 +404,13 @@ class TestLiveIndex:
         )
         index.counts()  # build groups that the edits must then move
         factory = NullFactory(start=100)
-        measure = KAnonymityRisk(k=2)
+        # k-anonymity and the differential measure read the live
+        # counts; re-identification sums weights, so it assesses afresh.
+        measures = [
+            KAnonymityRisk(k=2),
+            DifferentialRisk(epsilon=0.5),
+            ReidentificationRisk(),
+        ]
         for row, attribute, source in edits:
             value = (
                 factory.fresh() if source is None
@@ -407,8 +419,9 @@ class TestLiveIndex:
             db.with_value(row, attribute, value)
             index.update(row)
             assert index.counts() == semantics.match_counts(db)
-            live = measure.assess_index(db, index, semantics=semantics)
-            fresh = measure.assess(db, semantics=semantics)
-            assert live.scores == fresh.scores
-            assert live.details == fresh.details
-            assert live.parameters == fresh.parameters
+            for measure in measures:
+                live = measure.assess_index(db, index, semantics=semantics)
+                fresh = measure.assess(db, semantics=semantics)
+                assert live.scores == fresh.scores
+                assert live.details == fresh.details
+                assert live.parameters == fresh.parameters
