@@ -54,24 +54,10 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from .tracing import json_normalize
+
 #: Bump when the envelope or the summary fold changes incompatibly.
 EVENT_SCHEMA_VERSION = 1
-
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def _normalize(value: Any) -> Any:
-    """JSON-normalize a payload value so the live event and its
-    re-parsed form are indistinguishable (LabelledNulls and other
-    domain objects become their string rendering)."""
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _normalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    return str(value)
-
 
 #: Decision kinds that are confidentiality actions on microdata cells
 #: (as opposed to chase derivations); the audit section counts these.
@@ -211,7 +197,7 @@ class EventLog:
         record = {
             "v": EVENT_SCHEMA_VERSION,
             "type": event_type,
-            "payload": _normalize(payload),
+            "payload": json_normalize(payload),
         }
         with self._lock:
             self._seq += 1

@@ -29,6 +29,27 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def json_normalize(value: Any) -> Any:
+    """JSON-normalize a value: scalars stay, dict keys become ``str``,
+    lists and tuples become lists, and anything else (a LabelledNull, a
+    Constant, any other domain object) becomes its ``str``.  A ground
+    ``Constant`` is the 1-tuple of its value, so a tuple subclass with
+    its own ``__str__`` is a value too, not a sequence."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, dict):
+        return {str(k): json_normalize(v) for k, v in value.items()}
+    if (
+        isinstance(value, (list, tuple))
+        and type(value).__str__ is object.__str__
+    ):
+        return [json_normalize(v) for v in value]
+    return str(value)
+
+
 class Span:
     """One timed region; durations are integer nanoseconds."""
 
@@ -127,7 +148,7 @@ class JSONLFileSink:
         self._lock = threading.Lock()
 
     def emit(self, span: Dict[str, Any]) -> None:
-        line = json.dumps(span, default=str)
+        line = json.dumps(json_normalize(span))
         with self._lock:
             self._handle.write(line + "\n")
 

@@ -212,6 +212,12 @@ def gc_paused():
     does nothing and leaves the state to the outermost owner.  The
     switch is process-wide: while a chase runs, cyclic garbage made by
     other threads waits for the collector too.
+
+    On exit every tracked object moves into the oldest generation (a
+    freeze and unfreeze, two list splices), so the first young
+    collection after the run does not traverse the whole result.  A
+    caller's own ``gc.freeze()`` is left alone: with objects already
+    frozen, the promotion is skipped.
     """
     if not gc.isenabled():
         yield
@@ -220,6 +226,9 @@ def gc_paused():
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()
 
 

@@ -98,7 +98,7 @@ class ExternalRegistry:
         for output in impl(context, *resolved):
             if output is None:
                 continue
-            if not isinstance(output, tuple):
+            if not isinstance(output, tuple) or isinstance(output, Term):
                 output = (output,)
             if len(output) != len(args):
                 raise UnknownExternalError(

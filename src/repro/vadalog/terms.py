@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from operator import itemgetter
 from typing import Any, Tuple, Union
 
 
@@ -48,29 +49,31 @@ class Term:
         return not isinstance(self, Variable)
 
 
-class Constant(Term):
-    """A constant wrapping an arbitrary hashable Python value."""
+class Constant(Term, tuple):
+    """A constant wrapping an arbitrary hashable Python value.
 
-    __slots__ = ("value", "_hash")
+    A constant is the 1-tuple of its value, so hashing and equality
+    run in C wherever a tuple of terms meets a dict or a set: ``Constant(1) == Constant(1.0) == Constant(True)`` with equal
+    hashes, exactly as their values compare.  It also equals the plain
+    1-tuple ``(value,)``, which the engine never compares with a term;
+    it never equals a :class:`LabelledNull` or a :class:`Variable`.
+    """
 
-    def __init__(self, value: Any):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", None)
+    __slots__ = ()
+
+    def __new__(cls, value: Any):
+        return tuple.__new__(cls, (value,))
+
+    #: The wrapped Python value.
+    value = property(itemgetter(0))
+
+    def __getnewargs__(self):
+        # ``tuple.__getnewargs__`` would hand ``(value,)`` to ``__new__``
+        # and wrap it once more on unpickling or copying.
+        return (self[0],)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Constant is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Constant) and self.value == other.value
-
-    def __hash__(self):
-        # Cached lazily: hashing only requires the value to be hashable
-        # when the constant actually enters a set/dict.
-        cached = self._hash
-        if cached is None:
-            cached = hash(("const", self.value))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     def __repr__(self):
         return f"Constant({self.value!r})"

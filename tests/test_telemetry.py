@@ -17,6 +17,7 @@ from repro.telemetry import (
     profiled,
 )
 from repro.vadalog import Program
+from repro.vadalog.terms import Constant, LabelledNull
 
 
 @pytest.fixture(autouse=True)
@@ -169,6 +170,23 @@ class TestTracer:
         assert [r["name"] for r in records] == ["b", "a"]
         assert records[0]["parent_id"] == records[1]["span_id"]
         assert all(r["duration_ns"] >= 0 for r in records)
+
+    def test_jsonl_sink_writes_a_term_as_its_text(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sinks=[JSONLFileSink(str(path))])
+        with tracer.span("a", value=Constant("x"), number=Constant(2),
+                         terms=[Constant(1), LabelledNull(4)], pair=(1, 2),
+                         other=object):
+            pass
+        tracer.close()
+        (record,) = [json.loads(line)
+                     for line in path.read_text().splitlines()]
+        attributes = record["attributes"]
+        assert attributes["value"] == '"x"'
+        assert attributes["number"] == "2"
+        assert attributes["terms"] == ["1", "⊥4"]
+        assert attributes["pair"] == [1, 2]
+        assert attributes["other"] == str(object)
 
 
 class TestProfilingHooks:

@@ -4,6 +4,7 @@ folded), the instrumented emitters (chase derivations, anonymization
 decisions, framework lifecycle) and the CLI export flags."""
 
 import json
+from collections import namedtuple
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.telemetry.events import (
     replay,
 )
 from repro.vadalog import Program
-from repro.vadalog.terms import LabelledNull
+from repro.vadalog.terms import Constant, LabelledNull
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +72,18 @@ class TestEventLog:
         assert payload["derived"] == [str(null), 1]
         assert payload["nested"] == {"v": str(null)}
         # The whole envelope survives a JSON round-trip unchanged.
+        assert json.loads(json.dumps(event)) == event
+
+    def test_constant_payload_renders_as_its_text(self):
+        log = EventLog()
+        point = namedtuple("point", "x y")
+        event = log.emit("decision", kind="keep", value=Constant("zip"),
+                         derived=(Constant(3), LabelledNull(2)),
+                         pair=point(Constant(1.5), 4))
+        payload = event["payload"]
+        assert payload["value"] == '"zip"'
+        assert payload["derived"] == ["3", "⊥2"]
+        assert payload["pair"] == ["1.5", 4]
         assert json.loads(json.dumps(event)) == event
 
     def test_summary_counts_by_type_and_kind(self):

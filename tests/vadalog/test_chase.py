@@ -20,7 +20,7 @@ from repro.vadalog import (
 from repro.vadalog.atoms import Atom
 from repro.vadalog.chase import ChaseEngine
 from repro.vadalog.routing import sort_by_variable
-from repro.vadalog.terms import LabelledNull
+from repro.vadalog.terms import Constant, LabelledNull
 
 
 class TestRecursion:
@@ -297,6 +297,40 @@ class TestExternals:
         result = program.run(externals=registry)
         assert sorted(result.tuples("d")) == [(2, 4), (3, 6)]
 
+    def test_external_yielding_terms(self):
+        """A yielded term is one output value, never an output tuple."""
+        registry = ExternalRegistry()
+
+        def tag(context, x, y):
+            yield (x, Constant(("tag", x)))
+
+        def pair(context, x):
+            yield Constant(("pair", x))
+
+        def bare(context, x, y):
+            yield Constant(x)
+
+        registry.register("tag", tag)
+        registry.register("pair", pair)
+        registry.register("bare", bare)
+        program = Program.parse(
+            """
+            n(2). n(3).
+            t(X, Y) :- n(X), #tag(X, Y).
+            p(Y) :- n(X), #pair(Y).
+            """
+        )
+        result = program.run(externals=registry)
+        assert sorted(result.tuples("t")) == [
+            (2, ("tag", 2)), (3, ("tag", 3)),
+        ]
+        assert result.tuples("p") == [(("pair", None),)]
+        with pytest.raises(EvaluationError,
+                           match="arity 1, expected 2"):
+            Program.parse("n(1). b(X, Y) :- n(X), #bare(X, Y).").run(
+                externals=registry
+            )
+
     def test_unknown_external_raises(self):
         program = Program.parse("p(X) :- n(X), #mystery(X).")
         with pytest.raises(EvaluationError):
@@ -443,6 +477,44 @@ class TestCollectorPause:
         assert sorted(result.tuples("m")) == [(1,), (2,)]
         assert seen == [False, False]
         assert gc.isenabled()
+
+
+class TestCollectorPromotion:
+    """On leaving the pause the run's survivors move into the oldest
+    generation, unless the caller has frozen objects of its own."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    PROGRAM = "n(1). n(2). n(3). m(X, Y) :- n(X), n(Y)."
+
+    def test_survivors_leave_the_young_generations(self):
+        assert gc.get_freeze_count() == 0
+        gc.enable()
+        result = Program.parse(self.PROGRAM).run()
+        young = {id(obj) for generation in (0, 1)
+                 for obj in gc.get_objects(generation=generation)}
+        assert gc.is_tracked(result.store)
+        assert id(result.store) not in young
+        assert any(obj is result.store
+                   for obj in gc.get_objects(generation=2))
+        assert len(result.tuples("m")) == 9
+
+    def test_caller_freeze_left_intact(self):
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            result = Program.parse(self.PROGRAM).run()
+            assert gc.get_freeze_count() == frozen
+            assert len(result.tuples("m")) == 9
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
 
 
 class TestTelemetryObserves:
