@@ -45,16 +45,21 @@ class MicrodataDB:
         self.name = name
         self.schema = schema
         self.rows: List[Dict[str, Any]] = []
+        # The schema's attributes and categories are the same set, so
+        # one key-set comparison validates a row.
+        attributes = schema.categories.keys()
         for index, row in enumerate(rows):
             normalized = dict(row)
-            missing = [a for a in schema.attributes if a not in normalized]
-            if missing:
-                raise SchemaError(
-                    f"row {index} of {name!r} misses attribute(s) "
-                    f"{', '.join(missing)}"
-                )
-            extra = [a for a in normalized if a not in schema.categories]
-            if extra:
+            if normalized.keys() != attributes:
+                missing = [
+                    a for a in schema.attributes if a not in normalized
+                ]
+                if missing:
+                    raise SchemaError(
+                        f"row {index} of {name!r} misses attribute(s) "
+                        f"{', '.join(missing)}"
+                    )
+                extra = [a for a in normalized if a not in attributes]
                 raise SchemaError(
                     f"row {index} of {name!r} has unknown attribute(s) "
                     f"{', '.join(extra)}"

@@ -221,10 +221,7 @@ def render_memory(memory: Dict[str, Any]) -> str:
             f"  {name}: {info.get('facts', 0)} fact(s), "
             f"~{_format_bytes(info.get('estimated_bytes', 0))}, "
             f"{info.get('index_entries', 0)} index entr(ies), "
-            f"frontier {info.get('delta', 0)}, "
-            f"columnar {_format_bytes(info.get('column_bytes', 0))}"
-            f" in columns, {info.get('dictionary_terms', 0)} "
-            f"dict term(s), probes "
+            f"frontier {info.get('delta', 0)}, probes "
             f"{info.get('probe_hits', 0)}/{info.get('probes', 0)} hit"
         )
     lines.append(

@@ -3,16 +3,13 @@
 Three pieces live here:
 
 * :class:`ColumnarRelation` — the storage of one predicate inside
-  :class:`~repro.vadalog.database.FactStore`.  Every term is interned
-  once in a per-relation :class:`TermDictionary`; each position of the
-  relation is a growable int64 column of codes (the dictionary-encoded
-  columnar layout of analytic engines, and the storage split the
-  Vadalog System paper motivates for chase workloads).  Facts are
-  keyed by their term tuple, so a bulk insert dedups without building
-  a fact per candidate and a full-key probe is one dict lookup; a
-  partial-key probe goes through a lazily built group index
-  ``positions -> code key -> [rowid]``.  Facts themselves are kept in
-  a rowid-indexed list so probe results stay ordinary
+  :class:`~repro.vadalog.database.FactStore`.  A fact has one
+  representation, its term tuple: a bulk insert dedups on it without
+  building a fact per candidate, a full-key probe is one dict lookup,
+  and a partial-key probe goes through a lazily built group index
+  ``positions -> term sub-tuple -> [rowid]`` (ground terms hash and
+  compare in C, so the keys need no encoding).  Facts themselves are
+  kept in a rowid-indexed list so probe results stay ordinary
   :class:`~repro.vadalog.atoms.Fact` tuples and every row-at-a-time
   consumer (the error-masking completion search, EGDs, externals,
   the isomorphic chase's ``conjunction_has_image``) works unchanged.
@@ -54,7 +51,6 @@ decision above per raising row.
 from __future__ import annotations
 
 import sys
-from array import array
 from itertools import compress, repeat
 from operator import itemgetter
 from time import perf_counter_ns
@@ -69,100 +65,68 @@ from .terms import Term, Variable
 from .unification import bound_positions, match_atom
 
 
-class TermDictionary:
-    """Per-relation term interning: ``Term -> code`` plus the decode
-    list.  Codes are dense ints starting at 0, so they double as
-    indices into decode arrays."""
-
-    __slots__ = ("encode", "decode")
-
-    def __init__(self):
-        self.encode: Dict[Term, int] = {}
-        self.decode: List[Term] = []
-
-    def code(self, term: Term) -> int:
-        """Intern ``term``, returning its (possibly fresh) code."""
-        found = self.encode.get(term)
-        if found is None:
-            found = len(self.decode)
-            self.encode[term] = found
-            self.decode.append(term)
-        return found
-
-    def probe(self, term: Term) -> Optional[int]:
-        """Code for ``term`` or None — never interns (probe keys for
-        terms the relation has never seen must miss, not grow the
-        dictionary)."""
-        return self.encode.get(term)
-
-    def __len__(self):
-        return len(self.decode)
-
-
 def _no_facts(key) -> Tuple[Fact, ...]:
     return ()
 
 
-def _new_column():
-    return array("q")
+def _keys(
+    positions: Tuple[int, ...], tuples: Iterable[Tuple[Term, ...]]
+) -> Iterable[Tuple[Term, ...]]:
+    """Each term tuple's sub-tuple at ``positions``."""
+    if len(positions) == 1:
+        position = positions[0]
+        return [(terms[position],) for terms in tuples]
+    return map(itemgetter(*positions), tuples)
 
 
 class ColumnarRelation:
-    """Dictionary-encoded columnar storage for one predicate.
+    """Storage for one predicate: append-only rows of facts, keyed by
+    their term tuples.
 
     Rows are append-only, so the semi-naive frontier is a rowid range:
     the live rows in ``[delta_lo, delta_hi)`` are new as of the
     previous round, and every row from ``delta_hi`` on is pending —
     added this round, frontier after :meth:`FactStore.advance_delta`.
-    Frontier probes scan that range in rowid order; full-store probes
-    go through rowid buckets over int64 code columns.  Retraction
-    (functional aggregates, EGD null unification) tombstones the rowid
-    instead of rewriting columns, which drops it from the frontier
-    too.
+    Frontier probes scan that range in rowid order; full-key probes
+    are one lookup in the dedup dict; partial-key probes read a group
+    index keyed on the probed positions' term sub-tuple.  Retraction
+    (functional aggregates, EGD null unification) tombstones the rowid,
+    which drops it from the frontier too.
     """
 
     backend = "columnar"
 
     __slots__ = (
-        "arity", "dictionary", "fact_of", "rowid_of", "rows", "columns",
-        "dead", "groups", "delta_lo", "delta_hi", "encoded_upto",
-        "active", "probes", "probe_hits", "adds", "dedup_hits",
+        "arity", "fact_of", "rowid_of", "rows", "dead", "groups",
+        "delta_lo", "delta_hi", "indexed_upto", "probes", "probe_hits",
+        "adds", "dedup_hits",
     )
 
     def __init__(self, arity: int):
         self.arity = arity
-        self.dictionary = TermDictionary()
         #: term tuple -> every live fact (dedup, membership and
-        #: full-key probes; encoding is deferred, see
-        #: ``_encode_pending``).
+        #: full-key probes).
         self.fact_of: Dict[Tuple[Term, ...], Fact] = {}
         #: term tuple -> rowid of every live fact, built by the first
         #: retraction (functional aggregates, EGD repairs) and kept
         #: incremental from then on; most relations never need it.
         self.rowid_of: Optional[Dict[Tuple[Term, ...], int]] = None
-        #: rowid -> Fact (probe results decode through this list).
+        #: rowid -> Fact (probe results read through this list).
         self.rows: List[Fact] = []
-        #: per position, the int64 code column (encoded lazily up to
-        #: ``encoded_upto``).
-        self.columns = [_new_column() for _ in range(arity)]
         #: tombstoned rowids (retracted facts).
         self.dead: Set[int] = set()
-        #: positions -> code key -> [rowid, ...] (live rows only; a
-        #: key whose last row is retracted leaves the index).
+        #: positions -> term sub-tuple -> [rowid, ...] in rowid order
+        #: (live rows only; a key whose last row is retracted leaves the
+        #: index).  Built by the first partial probe on ``positions``.
         self.groups: Dict[
-            Tuple[int, ...], Dict[Tuple[int, ...], List[int]]
+            Tuple[int, ...], Dict[Tuple[Term, ...], List[int]]
         ] = {}
         #: the frontier's rowid range (live rows only count).
         self.delta_lo = 0
         self.delta_hi = 0
-        #: rows[:encoded_upto] have codes in every *active* column;
-        #: appends past this watermark are plain list/dict inserts
-        #: until the next partial-key probe forces an encode pass.
-        self.encoded_upto = 0
-        #: positions whose code columns exist (column pruning: a
-        #: probe activates only the positions it keys on, so the
-        #: unprobed columns of a wide relation are never interned).
-        self.active: Set[int] = set()
+        #: every built group index holds the live rows below this
+        #: rowid; appends past it join them at the next probe.
+        self.indexed_upto = 0
         # Always-on accounting (ints, no telemetry gate): the memory
         # report surfaces the probe counts, and
         # :meth:`FactStore.publish_counters` turns all four into the
@@ -208,75 +172,35 @@ class ColumnarRelation:
         self.dedup_hits += len(tuples) - len(new)
         return positions, new
 
-    def _encode_column(self, position: int, start: int, total: int) -> None:
-        """Intern ``rows[start:total]`` at one position, appending the
-        codes to that column (interning inlined: this is the hottest
-        loop in the backend)."""
-        rows = self.rows
-        encode = self.dictionary.encode
-        decode = self.dictionary.decode
-        codes: List[int] = []
-        append = codes.append
-        for rowid in range(start, total):
-            term = rows[rowid].terms[position]
-            code = encode.get(term)
-            if code is None:
-                code = len(decode)
-                encode[term] = code
-                decode.append(term)
-            append(code)
-        self.columns[position].extend(codes)
-
-    def _encode_pending(
+    def _index_rows(
         self,
-        positions: Tuple[int, ...] = (),
-        all_columns: bool = False,
+        positions: Tuple[int, ...],
+        index: Dict[Tuple[Term, ...], List[int]],
+        start: int,
+        stop: int,
     ) -> None:
-        """Encode lazily and *per column*: activate the columns the
-        caller's key touches (interning their terms from row zero),
-        catch newly appended rows up on every already-active column,
-        and keep any built group index incremental.  Ingestion stays a
-        plain dict/list insert, and a probe keyed on two positions of a
-        wide relation never pays for the other columns;
-        ``all_columns`` (byte accounting) forces the remainder."""
-        active = self.active
-        wanted = range(self.arity) if all_columns else positions
-        fresh = [p for p in wanted if p not in active]
+        """Add the live rows ``start <= rowid < stop`` to ``index``."""
+        dead = self.dead
+        keys = _keys(positions, [fact.terms for fact in self.rows[start:stop]])
+        for rowid, key in enumerate(keys, start):
+            if rowid in dead:
+                continue
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [rowid]
+            else:
+                bucket.append(rowid)
+
+    def _catch_up(self) -> None:
+        """Add the rows appended since the last call to every built
+        group index."""
         total = len(self.rows)
-        upto = self.encoded_upto
-        if not fresh and upto == total:
+        upto = self.indexed_upto
+        if upto == total:
             return
-        cells = 0
-        for position in fresh:
-            self._encode_column(position, 0, total)
-            cells += total
-        if upto < total:
-            for position in active:
-                self._encode_column(position, upto, total)
-                cells += total - upto
-            columns = self.columns
-            dead = self.dead
-            # Group indices only ever span already-active positions
-            # (ensure_group activates before building), so the new
-            # rows' codes are all in place.  A row retracted before it
-            # was encoded joins no index.
-            for group_positions, index in self.groups.items():
-                group_columns = [columns[p] for p in group_positions]
-                for rowid in range(upto, total):
-                    if rowid in dead:
-                        continue
-                    group_key = tuple(c[rowid] for c in group_columns)
-                    bucket = index.get(group_key)
-                    if bucket is None:
-                        index[group_key] = [rowid]
-                    else:
-                        bucket.append(rowid)
-            self.encoded_upto = total
-        active.update(fresh)
-        if cells and _telemetry.enabled:
-            _telemetry.registry.counter(
-                "store.columnar.rows_encoded"
-            ).inc(cells)
+        for positions, index in self.groups.items():
+            self._index_rows(positions, index, upto, total)
+        self.indexed_upto = total
 
     def reset_frontier(self) -> None:
         """Make every stored fact frontier, and none pending."""
@@ -303,7 +227,8 @@ class ColumnarRelation:
         )
 
     def remove(self, fact: Fact) -> bool:
-        if self.fact_of.pop(fact.terms, None) is None:
+        terms = fact.terms
+        if self.fact_of.pop(terms, None) is None:
             return False
         if self.rowid_of is None:
             dead = self.dead
@@ -312,18 +237,17 @@ class ColumnarRelation:
                 for rowid, stored in enumerate(self.rows)
                 if rowid not in dead
             }
-        rowid = self.rowid_of.pop(fact.terms)
+        rowid = self.rowid_of.pop(terms)
         self.dead.add(rowid)
-        if rowid < self.encoded_upto:
-            # Encoded rows sit in every built index; a row past the
-            # watermark joins none (see ``_encode_pending``).
-            columns = self.columns
+        if rowid < self.indexed_upto:
+            # A row past the watermark is in no index yet, and the
+            # catch-up skips tombstones.
             for positions, index in self.groups.items():
-                group_key = tuple(columns[p][rowid] for p in positions)
-                bucket = index[group_key]
+                key = tuple([terms[p] for p in positions])
+                bucket = index[key]
                 bucket.remove(rowid)
                 if not bucket:
-                    del index[group_key]
+                    del index[key]
         return True
 
     # -- lookup ------------------------------------------------------------
@@ -345,22 +269,12 @@ class ColumnarRelation:
 
     def ensure_group(
         self, positions: Tuple[int, ...]
-    ) -> Dict[Tuple[int, ...], List[int]]:
-        self._encode_pending(positions)
+    ) -> Dict[Tuple[Term, ...], List[int]]:
+        self._catch_up()
         index = self.groups.get(positions)
         if index is None:
             index = {}
-            dead = self.dead
-            columns = [self.columns[p] for p in positions]
-            for rowid in range(len(self.rows)):
-                if rowid in dead:
-                    continue
-                group_key = tuple(column[rowid] for column in columns)
-                bucket = index.get(group_key)
-                if bucket is None:
-                    index[group_key] = [rowid]
-                else:
-                    bucket.append(rowid)
+            self._index_rows(positions, index, 0, len(self.rows))
             self.groups[positions] = index
             if _telemetry.enabled:
                 _telemetry.registry.counter(
@@ -371,29 +285,21 @@ class ColumnarRelation:
     def distinct_keys(self, positions: Tuple[int, ...]) -> int:
         """How many keys the group index on ``positions`` has: read
         from the index when one exists, else counted over the live
-        code columns without building one."""
+        term tuples without building one."""
         index = self.groups.get(positions)
         if index is not None:
+            self._catch_up()
             return len(index)
-        self._encode_pending(positions)
-        columns = [self.columns[p] for p in positions]
-        keys = columns[0] if len(columns) == 1 else zip(*columns)
-        if not self.dead:
-            return len(set(keys))
-        dead = self.dead
-        return len({
-            key for rowid, key in enumerate(keys) if rowid not in dead
-        })
+        return len(set(_keys(positions, self.fact_of)))
 
     def prober(
         self, positions: Tuple[int, ...], delta_only: bool = False
     ) -> Callable[[Tuple[Term, ...]], Tuple[Fact, ...]]:
         """A ``key -> facts`` function for repeated probes on
         ``positions`` (the contract of :meth:`FactStore.probe`), with
-        the frontier, encoding and group index resolved once rather
-        than per probe.  Valid while the relation is unchanged: a batch
-        plan step probes through one.  Misses on terms the relation has
-        never stored short-circuit without building an index.
+        the frontier and group index resolved once rather than per
+        probe.  Valid while the relation is unchanged: a batch plan
+        step probes through one.
 
         ``delta_only`` probes the frontier by filtering its rows on the
         key, in rowid order.  A delta literal leads its plan, so its
@@ -418,9 +324,7 @@ class ColumnarRelation:
         if not positions:
             everything = tuple(self.iter_facts())
             return lambda key: everything
-        rows = self.rows
         if len(positions) == self.arity:
-            # Full-key membership needs no encoding.
             fact_of = self.fact_of
 
             def probe_full(key):
@@ -432,23 +336,15 @@ class ColumnarRelation:
                 return (fact,)
 
             return probe_full
-        self._encode_pending(positions)
-        encode = self.dictionary.encode
-        index = self.groups.get(positions)
+        rows = self.rows
+        index = None
 
         def probe_partial(key):
             nonlocal index
             self.probes += 1
-            codes = []
-            for term in key:
-                code = encode.get(term)
-                if code is None:
-                    # Never-stored term: guaranteed miss, skip the index.
-                    return ()
-                codes.append(code)
             if index is None:
                 index = self.ensure_group(positions)
-            bucket = index.get(tuple(codes))
+            bucket = index.get(key)
             if not bucket:
                 return ()
             self.probe_hits += 1
@@ -460,40 +356,25 @@ class ColumnarRelation:
 
     # -- memory accounting -------------------------------------------------
 
-    def column_bytes(self) -> int:
-        """Real bytes held by the code columns.  Forces the encode
-        pass so the figure covers every stored row."""
-        self._encode_pending(all_columns=True)
-        return sum(column.itemsize * len(column) for column in self.columns)
-
     def memory_info(self) -> Dict[str, Any]:
-        index_entries = sum(
-            len(bucket)
-            for index in self.groups.values()
-            for bucket in index.values()
-        )
-        column_bytes = self.column_bytes()
-        # Real, not sampled: code columns + the rowid list's pointer
-        # slots + the dictionary's decode payloads.
-        dictionary_bytes = sys.getsizeof(self.dictionary.decode)
-        for term in self.dictionary.decode:
-            dictionary_bytes += sys.getsizeof(term)
-            value = getattr(term, "value", None)
-            if value is not None:
-                dictionary_bytes += sys.getsizeof(value)
-        estimated = (
-            column_bytes
-            + sys.getsizeof(self.rows)
-            + dictionary_bytes
-        )
+        """Cardinality, probe counts and bytes.  ``estimated_bytes`` is
+        real but shallow (``sys.getsizeof``): the row list, the dedup
+        dict, and the group-index dicts with their bucket lists — not
+        the facts and terms they point to."""
+        self._catch_up()
+        index_entries = 0
+        estimated = sys.getsizeof(self.rows) + sys.getsizeof(self.fact_of)
+        for index in self.groups.values():
+            estimated += sys.getsizeof(index)
+            for bucket in index.values():
+                index_entries += len(bucket)
+                estimated += sys.getsizeof(bucket)
         return {
             "facts": len(self.fact_of),
             "delta": len(self.frontier()),
             "estimated_bytes": estimated,
             "index_entries": index_entries,
             "backend": self.backend,
-            "column_bytes": column_bytes,
-            "dictionary_terms": len(self.dictionary),
             "probes": self.probes,
             "probe_hits": self.probe_hits,
         }

@@ -4,12 +4,12 @@ The :class:`FactStore` keeps one
 :class:`~repro.vadalog.columnar.ColumnarRelation` per predicate,
 created with the predicate's first fact.  Each relation holds
 
-* the set of all facts (for duplicate elimination and homomorphism
-  checks),
-* dictionary-encoded code columns with lazily built group indices —
-  hash maps from a tuple of positions to the rows carrying a given term
-  tuple there — so a compiled plan step with ``k`` bound positions
-  does one hash probe,
+* the facts in an append-only rowid list, keyed by their term tuples
+  (for duplicate elimination, homomorphism checks and full-key
+  probes),
+* lazily built group indices — hash maps from a tuple of positions to
+  the rows carrying a given term sub-tuple there — so a compiled plan
+  step with ``k`` bound positions does one hash probe,
 * the semi-naive frontier as a rowid range over the append-only rows:
   the facts added before the last :meth:`FactStore.advance_delta` and
   since the one before it, which drive semi-naive rule firing in rowid
@@ -191,8 +191,8 @@ class FactStore:
         delta_only: bool = False,
     ) -> Callable[[Tuple[Term, ...]], Tuple[Fact, ...]]:
         """A ``key -> facts`` function answering :meth:`probe` for many
-        keys on one ``(predicate, positions)``, with the relation, its
-        encoding and its index resolved once.  Valid while the store is
+        keys on one ``(predicate, positions)``, with the relation and
+        its index resolved once.  Valid while the store is
         unchanged (a plan step's batch).  ``delta_only`` probes the
         semi-naive frontier instead."""
         relation = self._relations.get(predicate)
@@ -207,7 +207,7 @@ class FactStore:
         ``positions`` reads: the expected size of one probe's result
         (0 for an empty relation, every fact for a keyless scan, 1 for
         a full-key membership probe).  Pricing builds no index: an
-        unbuilt one is counted over the code columns."""
+        unbuilt one is counted over the live term tuples."""
         relation = self._relations.get(predicate)
         count = relation.fact_count() if relation is not None else 0
         if not count:
@@ -276,30 +276,29 @@ class FactStore:
     def memory_stats(self) -> Dict[str, Any]:
         """Per-predicate cardinality and bytes report.
 
-        Bytes are *real*: the code columns' buffer sizes plus the rowid
-        list and the term dictionary, with ``column_bytes`` and
-        always-on ``probes``/``probe_hits`` counters broken out.
-        ``index_entries`` counts the rowid memberships of the group
-        indices — the index-side multiplier on fact count.
+        Bytes are *real* but shallow (``sys.getsizeof``): each
+        relation's row list, dedup dict, and group-index dicts with
+        their bucket lists, not the facts and terms they point to.
+        Each relation also reports its always-on ``probes`` and
+        ``probe_hits`` counters.  ``index_entries`` counts the rowid
+        memberships of the group indices — the index-side multiplier
+        on fact count.
         """
         predicates: Dict[str, Any] = {}
         total_facts = 0
         total_bytes = 0
         total_index = 0
-        total_columns = 0
         for name, relation in sorted(self._relations.items()):
             info = relation.memory_info()
             predicates[name] = info
             total_facts += info["facts"]
             total_bytes += info["estimated_bytes"]
             total_index += info["index_entries"]
-            total_columns += info["column_bytes"]
         return {
             "predicates": predicates,
             "facts": total_facts,
             "estimated_bytes": total_bytes,
             "index_entries": total_index,
-            "column_bytes": total_columns,
         }
 
     # -- convenience --------------------------------------------------------

@@ -86,6 +86,34 @@ class TestMicrodataDB:
         with pytest.raises(SchemaError):
             MicrodataDB("t", schema, [{"A": 1, "B": 2}])
 
+    @pytest.mark.parametrize("rows, message", [
+        (
+            [{"A": 1, "B": 2, "W": 1.0}, {"B": 2}],
+            "row 1 of 't' misses attribute(s) A, W",
+        ),
+        (
+            [{"W": 1.0, "Z": 0, "A": 1, "Y": 3, "B": 2}],
+            "row 0 of 't' has unknown attribute(s) Z, Y",
+        ),
+        # Missing attributes are reported before unknown ones.
+        (
+            [{"A": 1, "B": 2, "W": 1.0}, {"Z": 0, "B": 2}],
+            "row 1 of 't' misses attribute(s) A, W",
+        ),
+    ])
+    def test_row_validation_messages(self, rows, message):
+        schema = survey_schema(quasi_identifiers=["A", "B"], weight="W")
+        with pytest.raises(SchemaError) as raised:
+            MicrodataDB("t", schema, rows)
+        assert str(raised.value) == message
+
+    def test_rows_are_copied(self):
+        schema = survey_schema(quasi_identifiers=["A"])
+        row = {"A": 1}
+        db = MicrodataDB("t", schema, [row])
+        row["A"] = 2
+        assert db.rows == [{"A": 1}]
+
     def test_weights(self, ig_db):
         assert ig_db.weight_of(14) == 30.0
         assert ig_db.weight_of(6) == 300.0

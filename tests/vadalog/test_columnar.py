@@ -1,7 +1,8 @@
 """Columnar fact-store tests.
 
-Covers the dictionary-encoded columnar relation (round-trips, lazy
-encoding, frontier bookkeeping), bulk firing from the batch columns vs
+Covers the columnar relation (round-trips, group indices built and
+caught up lazily, every probe against a linear scan, frontier
+bookkeeping), bulk firing from the batch columns vs
 the row loop, the batched error-masking contract
 (mask or raise, checked against the naive oracle in both directions),
 and the memory/EXPLAIN ANALYZE reporting for columnar predicates.
@@ -16,7 +17,6 @@ from repro.errors import EvaluationError
 from repro.telemetry.inspect import render_memory
 from repro.vadalog import Program
 from repro.vadalog.atoms import Atom
-from repro.vadalog.columnar import TermDictionary
 from repro.vadalog.database import FactStore
 from repro.vadalog.reference import naive_chase
 from repro.vadalog.routing import RoutingTable
@@ -33,7 +33,7 @@ def clean_telemetry():
 
 
 # ---------------------------------------------------------------------------
-# Dictionary-encoding round-trips.
+# Round-trips through the store's probes.
 
 
 #: Hashable scalars the engine stores in constants — unicode text,
@@ -59,28 +59,18 @@ class TestEncodingRoundTrip:
         facts = {Atom("p", wrap_tuple(row)) for row in rows}
         for fact in facts:
             assert store.add(fact)
-            assert not store.add(fact)  # dedup holds pre-encoding
+            assert not store.add(fact)  # dedup holds before any index
         relation = store._relations.get("p")
         if rows:
             assert relation.backend == "columnar"
         assert set(store.facts("p")) == facts
-        # Force the lazy encoding pass via a partial probe, then check
-        # nothing was lost or reordered into a different fact.
+        # Build a group index via a partial probe, then check nothing
+        # was lost or reordered into a different fact.
         for fact in facts:
             hits = store.probe("p", (1,), (fact.terms[1],))
             assert fact in hits
             assert all(h.terms[1] == fact.terms[1] for h in hits)
         assert set(store.facts("p")) == facts
-
-    @given(values=st.lists(st.text(max_size=6), max_size=20))
-    def test_unicode_dictionary_round_trip(self, values):
-        dictionary = TermDictionary()
-        terms = [Constant(v) for v in values]
-        codes = [dictionary.code(t) for t in terms]
-        for term, code in zip(terms, codes):
-            assert dictionary.probe(term) == code
-            assert dictionary.decode[code] == term
-        assert len(dictionary) == len(set(terms))
 
     def test_labelled_nulls_encode_and_probe(self):
         store = FactStore()
@@ -89,13 +79,9 @@ class TestEncodingRoundTrip:
         store.add(fact)
         store.add(Atom("p", (Constant("other"), Constant(1))))
         assert store.probe("p", (1,), (null,)) == (fact,)
-        # A never-interned null must miss without growing the dictionary.
+        # A never-stored null misses.
         assert store.probe("p", (1,), (LabelledNull(99),)) == ()
-        relation = store._relations["p"]
-        # Column pruning: only the probed column's terms are interned.
-        assert len(relation.dictionary) == 2
         assert store.probe("p", (0,), (Constant("row"),)) == (fact,)
-        assert len(relation.dictionary) == 4
 
     def test_probe_after_append_sees_unencoded_rows(self):
         store = FactStore()
@@ -103,8 +89,8 @@ class TestEncodingRoundTrip:
         assert store.probe("p", (0,), (Constant("a"),)) == (
             Atom.of("p", "a", 1),
         )
-        # New rows appended after the first encoding pass are lazily
-        # encoded by the next partial probe.
+        # Rows appended after the index was built join it at the next
+        # partial probe.
         store.add(Atom.of("p", "a", 2))
         assert set(store.probe("p", (0,), (Constant("a"),))) == {
             Atom.of("p", "a", 1),
@@ -121,7 +107,137 @@ class TestEncodingRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Frontier (delta) invariants under the lazy-encoding representation.
+# Every probe against a linear scan, under random mutation sequences.
+
+
+#: A small pool so keys collide, with terms that compare equal across
+#: types (1, 1.0 and True; 0 and False) and unicode text.
+pool_terms = st.sampled_from([
+    Constant(0), Constant(1), Constant(1.0), Constant(True),
+    Constant(False), Constant(2.5), Constant(-7), Constant(""),
+    Constant("a"), Constant("é"), Constant("日本"), Constant("🙂"),
+    LabelledNull(1), LabelledNull(2), LabelledNull(3),
+])
+probe_terms = st.one_of(
+    pool_terms,
+    st.builds(Constant, st.one_of(
+        st.integers(-3, 3),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.text(max_size=3),
+    )),
+    st.builds(LabelledNull, st.integers(1, 6)),
+)
+triples = st.tuples(pool_terms, pool_terms, pool_terms)
+
+#: Partial position sets, plus the full key and the keyless scan.
+PROBE_POSITIONS = [(0,), (1, 2), (0, 2), (0, 1, 2), ()]
+
+store_ops = st.one_of(
+    st.tuples(st.just("add"), triples),
+    st.tuples(st.just("add_all"), st.lists(triples, max_size=4)),
+    st.tuples(st.just("insert"), st.lists(triples, max_size=4)),
+    st.tuples(st.just("retract"), triples),
+    st.tuples(st.just("retract_live"), st.integers(0, 50)),
+    st.tuples(st.just("advance"), st.none()),
+    st.tuples(st.just("reset"), st.none()),
+    st.tuples(st.just("distinct"), st.sampled_from(PROBE_POSITIONS[:3])),
+    st.tuples(
+        st.sampled_from(["probe", "prober", "delta"]),
+        st.tuples(
+            st.sampled_from(PROBE_POSITIONS),
+            st.lists(probe_terms, min_size=3, max_size=3),
+        ),
+    ),
+)
+
+
+class StoreModel:
+    """The live facts of one arity-3 relation as a plain ordered dict
+    (insertion order is rowid order), with the frontier as a range of
+    append counters, probed by linear scan."""
+
+    def __init__(self):
+        self.rowid_of = {}
+        self.appended = 0
+        self.lo = self.hi = 0
+
+    def add(self, terms):
+        if terms in self.rowid_of:
+            return
+        self.rowid_of[terms] = self.appended
+        self.appended += 1
+
+    def scan(self, positions, key, frontier=False):
+        return tuple(
+            Atom("p", terms) for terms, rowid in self.rowid_of.items()
+            if (not frontier or self.lo <= rowid < self.hi)
+            and tuple(terms[p] for p in positions) == key
+        )
+
+    def distinct(self, positions):
+        return len({
+            tuple(terms[p] for p in positions) for terms in self.rowid_of
+        })
+
+
+class TestProbesMatchLinearScan:
+    @given(ops=st.lists(store_ops, max_size=40))
+    def test_probes_equal_linear_scan_in_rowid_order(self, ops):
+        store = FactStore()
+        model = StoreModel()
+        for op, arg in ops:
+            if op == "add":
+                store.add(Atom("p", arg))
+                model.add(arg)
+            elif op in ("add_all", "insert"):
+                if op == "add_all":
+                    store.add_all([Atom("p", terms) for terms in arg])
+                else:
+                    store.insert("p", arg)
+                for terms in arg:
+                    model.add(terms)
+            elif op in ("retract", "retract_live"):
+                if op == "retract_live":
+                    if not model.rowid_of:
+                        continue
+                    live = list(model.rowid_of)
+                    arg = live[arg % len(live)]
+                assert store.retract(Atom("p", arg)) == (
+                    model.rowid_of.pop(arg, None) is not None
+                )
+            elif op == "advance":
+                store.advance_delta()
+                model.lo, model.hi = model.hi, model.appended
+            elif op == "reset":
+                store.reset_delta_to_all()
+                model.lo, model.hi = 0, model.appended
+            elif op == "distinct":
+                relation = store._relations.get("p")
+                if relation is not None:
+                    assert relation.distinct_keys(arg) == \
+                        model.distinct(arg)
+            else:
+                positions, terms = arg
+                key = tuple(terms[:len(positions)])
+                frontier = op == "delta"
+                expected = model.scan(positions, key, frontier)
+                if op == "probe":
+                    found = store.probe("p", positions, key)
+                else:
+                    found = store.prober("p", positions, frontier)(key)
+                assert found == expected
+                if frontier and not positions:
+                    assert store.delta("p") == expected
+        assert tuple(store.facts("p")) == model.scan((), ())
+        relation = store._relations.get("p")
+        if relation is not None:
+            for positions in PROBE_POSITIONS[:3]:
+                assert relation.distinct_keys(positions) == \
+                    model.distinct(positions)
+
+
+# ---------------------------------------------------------------------------
+# Frontier (delta) invariants over the append-only rows.
 
 
 class TestFrontierInvariants:
@@ -157,7 +273,7 @@ class TestFrontierInvariants:
         facts = [Atom.of("p", i, i % 2) for i in range(6)]
         for fact in facts:
             store.add(fact)
-        store.probe("p", (1,), (Constant(0),))  # forces encoding
+        store.probe("p", (1,), (Constant(0),))  # builds the index
         assert store.retract(facts[4])
         hits = store.probe("p", (1,), (Constant(0),))
         assert facts[4] not in hits
@@ -414,28 +530,40 @@ class TestColumnarMemoryReporting:
         facts += [Atom.of("f", i) for i in range(10)]
         return facts
 
-    def test_memory_stats_report_real_column_bytes(self):
+    def test_memory_stats_report_real_bytes(self):
         program = Program.parse(self.PROGRAM)
         result = program.run(
             self._facts(), preflight=False, provenance=False
         )
+        store = result.store
+        before = store.memory_stats()["predicates"]["e"]
         # One hit, one miss — memory_stats reports lifetime counters
         # whatever join order the planner picked.
-        result.store.probe("e", (1,), (Constant(3),))
-        result.store.probe("e", (1,), (Constant("never-stored"),))
-        report = result.store.memory_stats()
+        store.probe("e", (1,), (Constant(3),))
+        store.probe("e", (1,), (Constant("never-stored"),))
+        report = store.memory_stats()
         e_info = report["predicates"]["e"]
         assert e_info["backend"] == "columnar"
-        assert e_info["column_bytes"] > 0
-        assert e_info["estimated_bytes"] >= e_info["column_bytes"]
-        assert e_info["probes"] >= 2
-        assert e_info["probe_hits"] >= 1
+        assert e_info["estimated_bytes"] > 0
+        assert e_info["probes"] == before["probes"] + 2
+        assert e_info["probe_hits"] == before["probe_hits"] + 1
         assert e_info["probe_hits"] < e_info["probes"]
-        # The total sums every relation's columns.
-        assert report["column_bytes"] == sum(
-            info["column_bytes"] for info in report["predicates"].values()
-        )
-        assert report["column_bytes"] >= e_info["column_bytes"]
+        # The (1,) index holds every fact of e once.
+        assert e_info["index_entries"] >= 40
+        # The totals are the sums over the relations.
+        for key in ("facts", "estimated_bytes", "index_entries"):
+            assert report[key] == sum(
+                info[key] for info in report["predicates"].values()
+            )
+        # More facts, and another index over them, take more bytes.
+        store.add_all(Atom.of("e", i, i % 10) for i in range(40, 80))
+        grown = store.memory_stats()["predicates"]["e"]
+        assert grown["estimated_bytes"] > e_info["estimated_bytes"]
+        assert grown["index_entries"] > e_info["index_entries"]
+        store.probe("e", (0,), (Constant(5),))
+        indexed = store.memory_stats()["predicates"]["e"]
+        assert indexed["index_entries"] == grown["index_entries"] + 80
+        assert indexed["estimated_bytes"] > grown["estimated_bytes"]
 
     def test_render_memory_annotates_columns(self):
         program = Program.parse(self.PROGRAM)
@@ -449,8 +577,10 @@ class TestColumnarMemoryReporting:
                 if line.strip().startswith(name)
             )
             assert "frontier 0" in line
-            assert "in columns" in line
-            assert "probes" in line
+            info = result.store.memory_stats()["predicates"][name[:-1]]
+            assert line.endswith(
+                f"probes {info['probe_hits']}/{info['probes']} hit"
+            )
 
     def test_explain_analyze_counts_batched_rows(self):
         program = Program.parse(self.PROGRAM)
@@ -478,6 +608,6 @@ class TestColumnarMemoryReporting:
         program.run(self._facts(), preflight=False, provenance=False)
         counters = telemetry.registry().counters("store.columnar")
         assert sum(
-            v for k, v in counters.items() if "rows_encoded" in k
+            v for k, v in counters.items() if "group_index_builds" in k
         ) > 0
         assert sum(v for k, v in counters.items() if "probes" in k) > 0

@@ -200,7 +200,6 @@ class TestMemoryAccounting:
         report = result.store.memory_stats()
         assert set(report) == {
             "predicates", "facts", "estimated_bytes", "index_entries",
-            "column_bytes",
         }
         assert report["facts"] == len(result.store)
         assert report["estimated_bytes"] > 0
@@ -215,7 +214,6 @@ class TestMemoryAccounting:
         assert report == {
             "predicates": {}, "facts": 0,
             "estimated_bytes": 0, "index_entries": 0,
-            "column_bytes": 0,
         }
 
     def test_frontier_size_tracks_delta(self):
